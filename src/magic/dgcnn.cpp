@@ -101,9 +101,7 @@ DgcnnModel::DgcnnModel(DgcnnConfig cfg, util::Rng& rng, std::size_t sort_k_hint)
     // VGG-inspired Conv2D stack.
     const std::size_t g = cfg_.adaptive_grid();
     const std::size_t f = cfg_.conv2d_channels;
-    pre_pool_conv_ = std::make_unique<nn::Conv2D>(1, f, 3, 3, 1, rng);
-    pre_pool_act_ = std::make_unique<nn::ReLU>();
-    adaptive_pool_ = std::make_unique<nn::AdaptiveMaxPool2D>(g, g);
+    conv_pool_ = std::make_unique<nn::AdaptiveConvPool>(f, g, rng);
     head_.emplace<nn::Conv2D>(f, 2 * f, 3, 3, 1, rng);
     head_.emplace<nn::ReLU>();
     head_.emplace<nn::Conv2D>(2 * f, 2 * f, 3, 3, 1, rng);
@@ -165,18 +163,11 @@ nn::Tensor DgcnnModel::forward(const acfg::Acfg& sample) {
           ? sample.propagation_operator()
           : tensor::SparseMatrix::augmented_adjacency(sample.out_edges));
   const nn::Tensor x = preprocess(sample);
-  nn::Tensor z = stack_.forward(*last_prop_, x);
-  stack_out_shape_ = z.shape();
-
+  const nn::Tensor z = stack_.forward(*last_prop_, x);
   if (cfg_.pooling == PoolingType::SortPooling) {
     return head_.forward(sort_pool_->forward(z));
   }
-  const std::size_t n = z.dim(0), c = z.dim(1);
-  nn::Tensor img = z.reshape({1, n, c});
-  nn::Tensor act = pre_pool_act_->forward(pre_pool_conv_->forward(img));
-  nn::Tensor pooled = adaptive_pool_->forward(act);
-  pool_out_shape_ = pooled.shape();
-  return head_.forward(pooled);
+  return head_.forward(conv_pool_->forward(z));
 }
 
 nn::Tensor DgcnnModel::predict_batch(const GraphBatch& batch) {
@@ -211,24 +202,16 @@ nn::Tensor DgcnnModel::predict_batch(const GraphBatch& batch) {
     // Per-segment pooling into (N x k x C), then one fused head pass.
     return head_.forward_batch(sort_pool_->forward_packed(z, batch.offsets()));
   }
-  // AdaptivePooling path: the pre-pool Conv2D sees a variable-height
-  // (1 x n_g x C) image per graph, so that stage loops per segment; the
-  // pooled (f x g x g) maps are fixed-size and batch from there on.
+  // AdaptivePooling path: the pre-pool stage reads each graph's rows of the
+  // packed Z in place (their heights differ); the pooled (f x g x g) maps
+  // are fixed-size and batch from there on.
   const std::size_t c = z.dim(1);
-  const std::size_t N = batch.size();
-  const std::size_t f = cfg_.conv2d_channels;
-  const std::size_t g = cfg_.adaptive_grid();
-  nn::Tensor pooled({N, f, g, g});
-  for (std::size_t i = 0; i < N; ++i) {
-    const std::size_t base = batch.offset(i);
-    const std::size_t n = batch.vertices(i);
-    nn::Tensor img({1, n, c});
-    const double* src = z.data() + base * c;
-    for (std::size_t j = 0; j < n * c; ++j) img[j] = src[j];
-    nn::Tensor p = adaptive_pool_->forward(
-        pre_pool_act_->forward(pre_pool_conv_->forward(img)));
-    double* dst = pooled.data() + i * f * g * g;
-    for (std::size_t j = 0; j < f * g * g; ++j) dst[j] = p[j];
+  const std::size_t f = conv_pool_->channels();
+  const std::size_t g = conv_pool_->grid();
+  nn::Tensor pooled({batch.size(), f, g, g});
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    conv_pool_->forward_into(z.data() + batch.offset(i) * c, batch.vertices(i), c,
+                             pooled.data() + i * f * g * g);
   }
   return head_.forward_batch(pooled);
 }
@@ -238,17 +221,15 @@ void DgcnnModel::backward(const nn::Tensor& grad_log_probs) {
   if (cfg_.pooling == PoolingType::SortPooling) {
     g = sort_pool_->backward(g);
   } else {
-    g = adaptive_pool_->backward(g);
-    g = pre_pool_conv_->backward(pre_pool_act_->backward(g));
-    g = g.reshape(stack_out_shape_);
+    g = conv_pool_->backward(g);
   }
   last_input_grad_ = stack_.backward(g);
 }
 
 std::vector<nn::Parameter*> DgcnnModel::parameters() {
   std::vector<nn::Parameter*> params = stack_.parameters();
-  if (pre_pool_conv_) {
-    for (auto* p : pre_pool_conv_->parameters()) params.push_back(p);
+  if (conv_pool_) {
+    for (auto* p : conv_pool_->parameters()) params.push_back(p);
   }
   for (auto* p : head_.parameters()) params.push_back(p);
   return params;
@@ -256,16 +237,13 @@ std::vector<nn::Parameter*> DgcnnModel::parameters() {
 
 void DgcnnModel::set_training(bool training) {
   head_.set_training(training);
-  if (pre_pool_act_) pre_pool_act_->set_training(training);
   set_grad_enabled(training);
 }
 
 void DgcnnModel::set_grad_enabled(bool enabled) {
   stack_.set_grad_enabled(enabled);
   if (sort_pool_) sort_pool_->set_grad_enabled(enabled);
-  if (pre_pool_conv_) pre_pool_conv_->set_grad_enabled(enabled);
-  if (pre_pool_act_) pre_pool_act_->set_grad_enabled(enabled);
-  if (adaptive_pool_) adaptive_pool_->set_grad_enabled(enabled);
+  if (conv_pool_) conv_pool_->set_grad_enabled(enabled);
   head_.set_grad_enabled(enabled);
 }
 

@@ -18,7 +18,7 @@
 #include "acfg/acfg.hpp"
 #include "magic/graph_batch.hpp"
 #include "nn/activations.hpp"
-#include "nn/adaptive_max_pool.hpp"
+#include "nn/adaptive_conv_pool.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
@@ -163,17 +163,11 @@ class DgcnnModel {
 
   // SortPooling path.
   std::unique_ptr<nn::SortPooling> sort_pool_;
-  // AdaptivePooling path (pre-pool Conv2D + pooling itself).
-  std::unique_ptr<nn::Conv2D> pre_pool_conv_;
-  std::unique_ptr<nn::ReLU> pre_pool_act_;
-  std::unique_ptr<nn::AdaptiveMaxPool2D> adaptive_pool_;
+  // AdaptivePooling path: the fused pre-pool Conv2D -> ReLU -> pooling.
+  std::unique_ptr<nn::AdaptiveConvPool> conv_pool_;
 
   // Everything after pooling, expressed over reshaped tensors.
   nn::Sequential head_;
-
-  // Shapes cached from the last forward for backward-time reshapes.
-  tensor::Shape stack_out_shape_;
-  tensor::Shape pool_out_shape_;
 
   // The propagation operator must outlive backward.
   std::unique_ptr<tensor::SparseMatrix> last_prop_;

@@ -8,19 +8,20 @@ namespace magic::util {
 Histogram::Histogram() : buckets_(kBuckets, 0) {}
 
 std::size_t Histogram::bucket_of(double value) {
-  if (!(value >= 1.0)) return 0;  // [0, 1) and NaN land in bucket 0
-  const double idx = std::floor(4.0 * std::log2(value));
+  // [0, 2^-20) and NaN land in bucket 0.
+  if (!(value >= 0x1p-20)) return 0;
+  const double idx = std::floor(4.0 * (std::log2(value) - kMinExponent));
   const auto b = static_cast<std::size_t>(idx) + 1;
   return b >= kBuckets ? kBuckets - 1 : b;
 }
 
 double Histogram::bucket_low(std::size_t bucket) {
   if (bucket == 0) return 0.0;
-  return std::exp2(static_cast<double>(bucket - 1) / 4.0);
+  return std::exp2(static_cast<double>(bucket - 1) / 4.0 + kMinExponent);
 }
 
 double Histogram::bucket_high(std::size_t bucket) {
-  return std::exp2(static_cast<double>(bucket) / 4.0);
+  return std::exp2(static_cast<double>(bucket) / 4.0 + kMinExponent);
 }
 
 void Histogram::record(double value) {

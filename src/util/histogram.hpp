@@ -1,10 +1,12 @@
 #pragma once
 // Log-bucketed scalar histogram.
 //
-// Fixed-size geometric buckets (ratio 2^(1/4), ~19% wide) over [0, +inf),
-// so record() is O(1), memory is constant, and quantile() is accurate to
-// within one bucket width — plenty for latency percentiles (p50/p95/p99 in
-// serve::ServerStats) where a few percent of relative error is noise.
+// Fixed-size geometric buckets (ratio 2^(1/4), ~19% wide) from 2^-20 up,
+// plus one bucket for [0, 2^-20), so record() is O(1), memory is constant,
+// and quantile() is accurate to within one bucket width from 2^-20 to
+// ~2^69 — plenty for latency percentiles (p50/p95/p99 in
+// serve::ServerStats, sub-millisecond stage timings in milliseconds) where
+// a few percent of relative error is noise.
 // Not thread-safe; callers that share one histogram must lock around it.
 
 #include <cstddef>
@@ -42,7 +44,9 @@ class Histogram {
   void reset();
 
  private:
-  static constexpr std::size_t kBuckets = 280;  // covers up to ~2^69
+  /// log2 of the smallest geometric bucket's lower edge (0x1p-20).
+  static constexpr int kMinExponent = -20;
+  static constexpr std::size_t kBuckets = 360;  // covers [2^-20, ~2^69)
   static std::size_t bucket_of(double value);
   static double bucket_low(std::size_t bucket);
   static double bucket_high(std::size_t bucket);

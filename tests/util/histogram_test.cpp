@@ -49,6 +49,24 @@ TEST(Histogram, QuantilesApproximateUniformData) {
   EXPECT_NEAR(h.quantile(0.50), 500.0, 125.0);
   EXPECT_NEAR(h.quantile(0.95), 950.0, 240.0);
   EXPECT_NEAR(h.quantile(0.99), 990.0, 250.0);
+
+  // The same below 1, where sub-millisecond timings recorded in ms fall.
+  Histogram small;
+  for (int i = 1; i <= 1000; ++i) small.record(0.01 + 0.01 * i / 1000.0);
+  EXPECT_NEAR(small.quantile(0.50), 0.015, 0.25 * 0.015);
+  EXPECT_NEAR(small.quantile(0.95), 0.0195, 0.25 * 0.0195);
+  EXPECT_NEAR(small.quantile(0.99), 0.0199, 0.25 * 0.0199);
+}
+
+TEST(Histogram, SubUnitQuantilesIgnoreALargeTail) {
+  // Values below 1 get their own buckets, so a few large observations do
+  // not drag the median of sub-unit ones towards the middle of [min, 1).
+  Histogram h;
+  for (int i = 1; i <= 990; ++i) h.record(0.01 + 0.01 * i / 990.0);
+  for (int i = 0; i < 10; ++i) h.record(50.0);
+  EXPECT_NEAR(h.quantile(0.50), 0.015, 0.25 * 0.015);
+  EXPECT_NEAR(h.quantile(0.10), 0.011, 0.25 * 0.011);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 50.0);
 }
 
 TEST(Histogram, SingleValueQuantilesAreThatValue) {
