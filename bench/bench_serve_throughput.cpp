@@ -17,12 +17,13 @@
 // process exits nonzero if any client fails to connect or any verdict is
 // not ok — CI doubles as the >=1024-concurrent-connections gate.
 //
-// A third section compares the two classify() engines on one replica —
-// packed block-diagonal batching vs the per-item loop — both directly
-// (threads=1, same replica count) and at the serving layer, and writes the
-// comparison to BENCH_batch.json. The process exits nonzero if the engines
-// disagree (>1e-9 relative) or the packed serve point never packed a batch,
-// so CI doubles as an equivalence gate.
+// A third section compares packed block-diagonal scoring with one graph at
+// a time — directly (one classify() over every graph against a loop of
+// one-graph classify() calls, threads=1) and at the serving layer
+// (max_batch 8 against 1, same worker count) — and writes the comparison to
+// BENCH_batch.json. The process exits nonzero if the two disagree (>1e-9
+// relative) or the batched serve point never packed a batch, so CI doubles
+// as an equivalence gate.
 //
 // Flags:
 //   --samples N    scan requests per sweep point (default 400)
@@ -146,16 +147,14 @@ std::vector<acfg::Acfg> make_workload(std::size_t count, std::uint64_t seed,
   return acfg::extract_batch(make_listings(count, seed), pool);
 }
 
-SweepPoint run_point(core::MagicClassifier& clf,
+SweepPoint run_point(const core::MagicClassifier& clf,
                      const std::vector<acfg::Acfg>& workload,
-                     std::size_t workers, bool batched,
-                     core::PredictEngine engine = core::PredictEngine::Packed) {
+                     std::size_t workers, bool batched) {
   serve::ServeConfig config;
   config.workers = workers;
   config.queue_capacity = workload.size() + 1;  // sweep measures throughput, not sheds
   config.max_batch = batched ? 8 : 1;
   config.batch_window = std::chrono::microseconds(batched ? 2000 : 0);
-  config.engine = engine;
   serve::InferenceServer server(clf, config);
 
   std::vector<serve::PendingVerdict> handles;
@@ -294,9 +293,9 @@ std::string json_connection_point(const ConnectionPoint& p) {
   return os.str();
 }
 
-/// Direct engine comparison on ONE leased replica (threads = 1): the packed
-/// block-diagonal forward vs the per-item loop over identical inputs.
-struct EngineComparison {
+/// Direct comparison at threads = 1: one classify() over every graph (packed
+/// block-diagonal forwards) vs one classify() call per graph.
+struct PackedComparison {
   double per_sample_rps = 0.0;
   double packed_rps = 0.0;
   double speedup = 0.0;
@@ -304,31 +303,35 @@ struct EngineComparison {
   bool agree = true;
 };
 
-EngineComparison compare_engines(const core::MagicClassifier& clf,
+PackedComparison compare_packed(const core::MagicClassifier& clf,
                                  const std::vector<acfg::Acfg>& workload,
                                  std::size_t repeats) {
-  core::PredictOptions per_sample;
-  per_sample.threads = 1;
-  per_sample.engine = core::PredictEngine::PerSample;
-  core::PredictOptions packed;
-  packed.threads = 1;
-  packed.engine = core::PredictEngine::Packed;
+  core::PredictOptions single;
+  single.threads = 1;
+  auto one_at_a_time = [&] {
+    std::vector<core::Prediction> out;
+    out.reserve(workload.size());
+    for (const acfg::Acfg& graph : workload) {
+      out.push_back(clf.classify(std::span(&graph, 1), single).front());
+    }
+    return out;
+  };
 
-  // Warm the replica pool and both code paths so neither timed measurement
-  // pays materialization or first-touch costs.
-  std::vector<core::Prediction> serial = clf.classify(workload, per_sample);
-  std::vector<core::Prediction> fused = clf.classify(workload, packed);
+  // Warm both code paths so neither timed measurement pays first-touch
+  // costs.
+  std::vector<core::Prediction> serial = one_at_a_time();
+  std::vector<core::Prediction> fused = clf.classify(workload, single);
 
-  // Interleave the engines repeat by repeat so slow machine-level drift
+  // Interleave the two repeat by repeat so slow machine-level drift
   // (frequency scaling, noisy neighbours) hits both measurements equally.
-  EngineComparison cmp;
+  PackedComparison cmp;
   double serial_s = 0.0, packed_s = 0.0;
   for (std::size_t r = 0; r < repeats; ++r) {
     util::Timer serial_timer;
-    serial = clf.classify(workload, per_sample);
+    serial = one_at_a_time();
     serial_s += serial_timer.seconds();
     util::Timer packed_timer;
-    fused = clf.classify(workload, packed);
+    fused = clf.classify(workload, single);
     packed_s += packed_timer.seconds();
   }
 
@@ -465,13 +468,13 @@ int main(int argc, char** argv) {
   out << "]}\n";
   std::cout << "wrote " << opt.out << "\n";
 
-  // ---- Packed vs per-sample engine comparison (BENCH_batch.json) ---------
+  // ---- Packed vs one-graph-at-a-time comparison (BENCH_batch.json) -------
   //
   // Measured on the paper's original DGCNN head (SortPooling -> Conv1D):
   // that variant batches end to end (block-diagonal graph conv, per-segment
   // sort pooling, fused dense head), whereas the AMP variant above spends
-  // most of its time in a pre-pool Conv2D over variable-height images that
-  // cannot batch. Same corpus, same workload, same replica count.
+  // most of its time in a pre-pool stage over variable-height images that
+  // cannot batch. Same corpus, same workload, same worker count.
   core::DgcnnConfig sp_config;
   sp_config.pooling = core::PoolingType::SortPooling;
   sp_config.remaining = core::RemainingLayer::Conv1D;
@@ -481,25 +484,23 @@ int main(int argc, char** argv) {
   core::MagicClassifier sp_clf(sp_config, train, opt.seed);
   sp_clf.fit(corpus, 0.15);
 
-  std::cout << "\npacked vs per-sample engine (SortPooling/Conv1D, threads=1, "
-               "one replica):\n";
+  std::cout << "\npacked vs one graph per call (SortPooling/Conv1D, threads=1):\n";
   const std::size_t repeats = opt.quick ? 8 : 16;
-  const EngineComparison cmp = compare_engines(sp_clf, workload, repeats);
-  std::cout << "  per-sample: " << util::format_fixed(cmp.per_sample_rps, 1)
-            << " graphs/s\n  packed:     "
-            << util::format_fixed(cmp.packed_rps, 1) << " graphs/s\n  speedup:    "
+  const PackedComparison cmp = compare_packed(sp_clf, workload, repeats);
+  std::cout << "  one per call: " << util::format_fixed(cmp.per_sample_rps, 1)
+            << " graphs/s\n  packed:       "
+            << util::format_fixed(cmp.packed_rps, 1) << " graphs/s\n  speedup:      "
             << util::format_fixed(cmp.speedup, 2) << "x  (max |diff| "
             << cmp.max_abs_diff << ")\n";
 
-  // Serving layer, same replica count for both engines.
+  // Serving layer, same worker count: max_batch 1 (every request scored as
+  // a pack of one) against micro-batches of up to 8.
   const std::size_t serve_workers = 2;
   const SweepPoint serve_per_sample =
-      run_point(sp_clf, workload, serve_workers, /*batched=*/true,
-                core::PredictEngine::PerSample);
+      run_point(sp_clf, workload, serve_workers, /*batched=*/false);
   const SweepPoint serve_packed =
-      run_point(sp_clf, workload, serve_workers, /*batched=*/true,
-                core::PredictEngine::Packed);
-  std::cout << "  serve (" << serve_workers << " workers, micro-batched): "
+      run_point(sp_clf, workload, serve_workers, /*batched=*/true);
+  std::cout << "  serve (" << serve_workers << " workers, max_batch 1 -> 8): "
             << util::format_fixed(serve_per_sample.throughput, 1)
             << " -> " << util::format_fixed(serve_packed.throughput, 1)
             << " req/s, " << serve_packed.stats.packed_batches
@@ -523,7 +524,7 @@ int main(int argc, char** argv) {
 
   bool failed = conn_failed;
   if (!cmp.agree) {
-    std::cerr << "FAIL: packed and per-sample predictions disagree beyond "
+    std::cerr << "FAIL: packed and one-graph predictions disagree beyond "
                  "1e-9 relative tolerance\n";
     failed = true;
   }

@@ -41,6 +41,11 @@ express (they are project conventions, not C++ rules):
                      simd::KernelTable so the scalar build stays the
                      portable reference and ISA-specific code cannot leak
                      into shared translation units.
+  no-mutable-state   No `mutable` data member under src/nn/ or src/magic/:
+                     inference there is a const function of the weights and
+                     a caller-owned InferenceWorkspace, and a mutable member
+                     would be per-call state hidden behind const (a data
+                     race once several threads score on one model).
 
 Exit status: 0 = clean, 1 = findings, 2 = usage/environment error.
 
@@ -66,6 +71,7 @@ ALL_RULES = (
     "no-naked-thread",
     "header-standalone",
     "simd-intrinsics",
+    "no-mutable-state",
 )
 
 # How many *effective* lines (code only — comments, blanks and preprocessor
@@ -87,6 +93,9 @@ STD_MUTEX_ALLOWED = {"util/mutex.hpp"}
 # The one subtree where raw vector intrinsics are legal: the kernel TUs
 # behind the runtime-dispatched simd::KernelTable.
 SIMD_ALLOWED_PREFIX = "tensor/simd/"
+
+# Subtrees whose const inference path must not hide per-call state.
+CONST_INFERENCE_PREFIXES = ("nn/", "magic/")
 
 
 class Finding:
@@ -347,6 +356,30 @@ def check_simd_intrinsics(src: Path) -> list[Finding]:
     return findings
 
 
+def check_no_mutable_state(src: Path) -> list[Finding]:
+    """No `mutable` data member under the const-inference subtrees. A member
+    declaration starts its line with `mutable`; lambdas (`] mutable {`) do
+    not match."""
+    findings = []
+    member = re.compile(r"^\s*mutable\b")
+    for path in iter_sources(src, (".cpp", ".hpp")):
+        rel = path.relative_to(src).as_posix()
+        if not rel.startswith(CONST_INFERENCE_PREFIXES):
+            continue
+        for i, raw in enumerate(path.read_text().splitlines()):
+            if member.match(strip_line_comment(raw)):
+                findings.append(
+                    Finding(
+                        "no-mutable-state",
+                        path,
+                        i + 1,
+                        "mutable member in the const inference path; keep "
+                        "per-call state in the caller's InferenceWorkspace",
+                    )
+                )
+    return findings
+
+
 def check_header_standalone(src: Path, cxx: str) -> list[Finding]:
     findings = []
     for path in iter_sources(src, (".hpp",)):
@@ -411,6 +444,8 @@ def main() -> int:
         findings += check_no_naked_thread(src)
     if "simd-intrinsics" in rules:
         findings += check_simd_intrinsics(src)
+    if "no-mutable-state" in rules:
+        findings += check_no_mutable_state(src)
     if "header-standalone" in rules and not args.skip_headers:
         findings += check_header_standalone(src, args.cxx)
 

@@ -93,7 +93,7 @@ grep -q '"hits":1' "${STDIO_OUT}" || fail "stdio mode: expected 1 cache hit for 
 # per-server snapshot (serve latency quantiles live there).
 grep -q '"obs":{' "${STDIO_OUT}" || fail "stdio mode: stats line missing obs registry: $(tail -1 "${STDIO_OUT}")"
 grep -q '"serve.latency_ms"' "${STDIO_OUT}" || fail "stdio mode: stats line missing serve.latency_ms: $(tail -1 "${STDIO_OUT}")"
-# The packed-batch engine is the default: the stats snapshot must report the
+# Packed scoring is the only path: the stats snapshot must report the
 # fused-batch counter (0 is fine for sequential stdio requests — the field
 # itself proves the packed execution path is wired into the server).
 grep -q '"packed_batches":' "${STDIO_OUT}" || fail "stdio mode: stats line missing packed_batches: $(tail -1 "${STDIO_OUT}")"

@@ -68,10 +68,10 @@ void VerdictCache::insert(const CacheKey& key, CachedVerdict value) {
   }
   Shard& shard = shard_for(key);
   std::uint64_t evicted = 0;
-  std::uint64_t entries = 0;
-  std::size_t bytes = 0;
   {
     util::MutexLock lock(shard.mutex);
+    const auto entries_before = static_cast<std::int64_t>(shard.lru.size());
+    const auto bytes_before = static_cast<std::int64_t>(shard.bytes);
     const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       // Refresh: replace the value in place and touch.
@@ -92,27 +92,37 @@ void VerdictCache::insert(const CacheKey& key, CachedVerdict value) {
       shard.index.emplace(key, shard.lru.begin());
       shard.bytes += cost;
     }
-    entries = shard.lru.size();
-    bytes = shard.bytes;
+    account(static_cast<std::int64_t>(shard.lru.size()) - entries_before,
+            static_cast<std::int64_t>(shard.bytes) - bytes_before);
   }
   bump(insertions_, global_.insertions);
   for (std::uint64_t e = 0; e < evicted; ++e) bump(evictions_, global_.evictions);
-  if (obs::enabled()) {
-    // Per-shard residency is a fine proxy gauge; exact totals come from
-    // stats(). (entries/bytes of the *touched* shard, cheap and monotone
-    // enough for dashboards.)
-    global_.bytes->set(static_cast<double>(bytes));
-    global_.entries->set(static_cast<double>(entries));
-  }
+  publish_residency();
 }
 
 void VerdictCache::clear() {
   for (Shard& shard : shards_) {
     util::MutexLock lock(shard.mutex);
+    account(-static_cast<std::int64_t>(shard.lru.size()),
+            -static_cast<std::int64_t>(shard.bytes));
     shard.lru.clear();
     shard.index.clear();
     shard.bytes = 0;
   }
+  publish_residency();
+}
+
+void VerdictCache::account(std::int64_t entries, std::int64_t bytes) noexcept {
+  // Two's-complement wrap-around turns a negative delta into a subtraction.
+  total_entries_.fetch_add(static_cast<std::uint64_t>(entries), std::memory_order_relaxed);
+  total_bytes_.fetch_add(static_cast<std::uint64_t>(bytes), std::memory_order_relaxed);
+}
+
+void VerdictCache::publish_residency() const noexcept {
+  if (!obs::enabled()) return;
+  global_.entries->set(
+      static_cast<double>(total_entries_.load(std::memory_order_relaxed)));
+  global_.bytes->set(static_cast<double>(total_bytes_.load(std::memory_order_relaxed)));
 }
 
 CacheStats VerdictCache::stats() const {
@@ -124,12 +134,8 @@ CacheStats VerdictCache::stats() const {
   out.evictions = evictions_.value();
   out.oversized = oversized_.value();
   out.max_bytes = config_.max_bytes;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = shard_at(i);
-    util::MutexLock lock(shard.mutex);
-    out.entries += shard.lru.size();
-    out.bytes += shard.bytes;
-  }
+  out.entries = total_entries_.load(std::memory_order_relaxed);
+  out.bytes = total_bytes_.load(std::memory_order_relaxed);
   return out;
 }
 

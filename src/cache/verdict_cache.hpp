@@ -7,8 +7,8 @@
 // the full probability distribution, plus an optional graph embedding for
 // explain-style consumers. The serving layer consults it *ahead of* the
 // micro-batcher: a hit resolves the request immediately without ever
-// touching the queue, a replica lease, or a forward pass; a miss proceeds
-// to packed inference and inserts on completion.
+// touching the queue or a forward pass; a miss proceeds to packed
+// inference and inserts on completion.
 //
 // Concurrency: the key space is split across `shards` independent shards
 // (key.hi selects the shard), each a mutex-protected LRU list + index, so
@@ -33,6 +33,7 @@
 // magic::obs registry under "cache.*" while obs::enabled(), following the
 // serve::StatsCollector discipline.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -117,7 +118,8 @@ class VerdictCache {
   /// Drops every entry (counters keep accumulating).
   void clear();
 
-  /// Exact counter snapshot plus current entry/byte residency.
+  /// Exact counter snapshot plus current entry/byte residency (the same
+  /// totals the cache.bytes / cache.entries gauges publish).
   CacheStats stats() const;
 
   std::size_t max_bytes() const noexcept { return config_.max_bytes; }
@@ -145,7 +147,13 @@ class VerdictCache {
   Shard& shard_for(const CacheKey& key) noexcept {
     return shards_[static_cast<std::size_t>(key.hi) % shards_.size()];
   }
-  const Shard& shard_at(std::size_t i) const noexcept { return shards_[i]; }
+  /// Adds a shard's residency change to the running totals. Called under
+  /// that shard's lock, so once no insert or clear is in flight the totals
+  /// equal the sum over shards.
+  void account(std::int64_t entries, std::int64_t bytes) noexcept;
+  /// Sets the cache.bytes / cache.entries gauges from the running totals
+  /// (no-op while obs is disabled).
+  void publish_residency() const noexcept;
 
   static void bump(obs::Counter& local, obs::Counter* mirror) noexcept {
     local.add();
@@ -155,6 +163,9 @@ class VerdictCache {
   CacheConfig config_;
   std::size_t shard_budget_ = 0;
   std::vector<Shard> shards_;
+  /// Whole-cache residency: the sums of every shard's lru.size() and bytes.
+  std::atomic<std::uint64_t> total_entries_{0};
+  std::atomic<std::uint64_t> total_bytes_{0};
 
   obs::Counter hits_;
   obs::Counter misses_;

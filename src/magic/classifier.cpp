@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "acfg/extractor.hpp"
-#include "magic/replica_pool.hpp"
 #include "util/thread_pool.hpp"
 
 namespace magic::core {
@@ -17,38 +16,6 @@ namespace magic::core {
 MagicClassifier::MagicClassifier(DgcnnConfig config, TrainOptions train_options,
                                  std::uint64_t seed)
     : config_(config), train_options_(train_options), seed_(seed) {}
-
-MagicClassifier::~MagicClassifier() = default;
-
-MagicClassifier::MagicClassifier(MagicClassifier&& other) noexcept
-    : config_(std::move(other.config_)),
-      train_options_(std::move(other.train_options_)),
-      seed_(other.seed_),
-      model_(std::move(other.model_)),
-      family_names_(std::move(other.family_names_)),
-      is_pool_replica_(other.is_pool_replica_) {
-  util::MutexLock lock(other.pool_mutex_);
-  replica_pool_ = std::move(other.replica_pool_);
-}
-
-MagicClassifier& MagicClassifier::operator=(MagicClassifier&& other) noexcept {
-  if (this != &other) {
-    std::shared_ptr<ReplicaPool> moved_pool;
-    {
-      util::MutexLock lock(other.pool_mutex_);
-      moved_pool = std::move(other.replica_pool_);
-    }
-    config_ = std::move(other.config_);
-    train_options_ = std::move(other.train_options_);
-    seed_ = other.seed_;
-    model_ = std::move(other.model_);
-    family_names_ = std::move(other.family_names_);
-    is_pool_replica_ = other.is_pool_replica_;
-    util::MutexLock lock(pool_mutex_);
-    replica_pool_ = std::move(moved_pool);
-  }
-  return *this;
-}
 
 std::size_t MagicClassifier::derive_sort_k(const data::Dataset& dataset,
                                            const std::vector<std::size_t>& train_indices,
@@ -79,11 +46,6 @@ TrainResult MagicClassifier::fit_indices(const data::Dataset& dataset,
                                          const std::vector<std::size_t>& val_indices) {
   family_names_ = dataset.family_names;
   config_.num_classes = dataset.num_families();
-  {
-    // Stale clones must not outlive a retrain.
-    util::MutexLock lock(pool_mutex_);
-    replica_pool_.reset();
-  }
   util::Rng rng(seed_);
   const std::size_t k =
       derive_sort_k(dataset, train_indices, config_.pooling_ratio);
@@ -105,17 +67,13 @@ Prediction MagicClassifier::make_prediction(const double* probs,
   return pred;
 }
 
-Prediction MagicClassifier::predict_on_own_model(const acfg::Acfg& sample) const {
-  model_->set_training(false);
-  const nn::Tensor log_probs = model_->forward(sample);
-  const nn::Tensor probs = nn::exp_probs(log_probs);
-  return make_prediction(probs.data(), probs.size());
-}
-
-std::vector<Prediction> MagicClassifier::predict_packed_on_own_model(
-    const GraphBatch& batch) const {
-  model_->set_training(false);
-  const nn::Tensor log_probs = model_->predict_batch(batch);  // (N x classes)
+std::vector<Prediction> MagicClassifier::predict_packed(
+    const GraphBatch& batch, nn::InferenceWorkspace& workspace) const {
+  if (!fitted()) throw std::logic_error("MagicClassifier::predict_packed: not fitted");
+  // unique_ptr does not propagate const: score through a const reference
+  // so the compiler checks that inference never mutates the model.
+  const DgcnnModel& model = *model_;
+  const nn::Tensor log_probs = model.predict_batch(batch, workspace);  // (N x classes)
   const std::size_t classes = log_probs.dim(1);
   std::vector<Prediction> preds;
   preds.reserve(batch.size());
@@ -131,139 +89,60 @@ std::vector<Prediction> MagicClassifier::predict_packed_on_own_model(
 std::vector<Prediction> MagicClassifier::classify(
     std::span<const acfg::Acfg> samples, const PredictOptions& options) const {
   if (!fitted()) throw std::logic_error("MagicClassifier::classify: not fitted");
-  if (options.engine == PredictEngine::Packed && options.max_pack_vertices == 0) {
+  if (options.max_pack_vertices == 0) {
     throw std::invalid_argument(
         "MagicClassifier::classify: max_pack_vertices must be >= 1");
   }
   std::vector<Prediction> results(samples.size());
   if (samples.empty()) return results;
 
+  // Greedy vertex-budget packs: contiguous [begin, end) ranges of samples.
+  std::vector<std::pair<std::size_t, std::size_t>> packs;
+  std::size_t begin = 0, budget = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::size_t n = samples[i].num_vertices();
+    if (i > begin && budget + n > options.max_pack_vertices) {
+      packs.emplace_back(begin, i);
+      begin = i;
+      budget = 0;
+    }
+    budget += n;
+  }
+  packs.emplace_back(begin, samples.size());
+
+  auto score = [&](std::size_t p, nn::InferenceWorkspace& workspace) {
+    const auto [first, end] = packs[p];
+    const GraphBatch batch = GraphBatch::pack(samples.subspan(first, end - first));
+    std::vector<Prediction> preds = predict_packed(batch, workspace);
+    for (std::size_t j = 0; j < preds.size(); ++j) {
+      results[first + j] = std::move(preds[j]);
+    }
+  };
+
   std::size_t threads =
       options.threads != 0
           ? options.threads
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  threads = std::min(threads, samples.size());
-  // Pool replicas are already exclusively leased; they score serially on
-  // their own model and never spawn nested pools.
-  if (is_pool_replica_) threads = 1;
-
-  // Work units are contiguous [begin, end) ranges of `samples`: greedy
-  // vertex-budget packs for the packed engine, one range per worker for
-  // the per-sample engine.
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  if (options.engine == PredictEngine::Packed) {
-    std::size_t begin = 0, budget = 0;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const std::size_t n = samples[i].num_vertices();
-      if (i > begin && budget + n > options.max_pack_vertices) {
-        chunks.emplace_back(begin, i);
-        begin = i;
-        budget = 0;
-      }
-      budget += n;
-    }
-    chunks.emplace_back(begin, samples.size());
-  } else {
-    const std::size_t per = (samples.size() + threads - 1) / threads;
-    for (std::size_t begin = 0; begin < samples.size(); begin += per) {
-      chunks.emplace_back(begin, std::min(samples.size(), begin + per));
-    }
-  }
-
-  auto run_chunk = [&](const MagicClassifier& scorer, std::size_t begin,
-                       std::size_t end) {
-    if (options.engine == PredictEngine::Packed) {
-      const GraphBatch batch = GraphBatch::pack(samples.subspan(begin, end - begin));
-      std::vector<Prediction> preds = scorer.predict_packed_on_own_model(batch);
-      for (std::size_t j = 0; j < preds.size(); ++j) {
-        results[begin + j] = std::move(preds[j]);
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        results[i] = scorer.predict_on_own_model(samples[i]);
-      }
-    }
-  };
-
+  threads = std::min(threads, packs.size());
   if (threads <= 1) {
-    if (is_pool_replica_) {
-      for (const auto& [begin, end] : chunks) run_chunk(*this, begin, end);
-    } else {
-      // One lease covers the whole call; exclusive access for every chunk.
-      const std::shared_ptr<ReplicaPool> replicas = ensure_replica_pool();
-      const ReplicaPool::Lease replica = replicas->acquire();
-      for (const auto& [begin, end] : chunks) run_chunk(*replica, begin, end);
-    }
+    nn::InferenceWorkspace workspace;  // reused across this call's packs
+    for (std::size_t p = 0; p < packs.size(); ++p) score(p, workspace);
     return results;
   }
-
-  const std::shared_ptr<ReplicaPool> replicas = ensure_replica_pool();
   util::ThreadPool pool(threads);
-  pool.parallel_for(chunks.size(), [&](std::size_t c) {
-    const ReplicaPool::Lease replica = replicas->acquire();
-    run_chunk(*replica, chunks[c].first, chunks[c].second);
+  pool.parallel_for(packs.size(), [&](std::size_t p) {
+    nn::InferenceWorkspace workspace;
+    score(p, workspace);
   });
   return results;
 }
 
 Prediction MagicClassifier::predict(const acfg::Acfg& sample) const {
-  if (!fitted()) throw std::logic_error("MagicClassifier::predict: not fitted");
-  if (is_pool_replica_) return predict_on_own_model(sample);
-  const std::shared_ptr<ReplicaPool> replicas = ensure_replica_pool();
-  const ReplicaPool::Lease replica = replicas->acquire();
-  return replica->predict_on_own_model(sample);
+  return classify(std::span(&sample, 1)).front();
 }
 
 Prediction MagicClassifier::predict_listing(std::string_view listing) const {
   return predict(acfg::extract_acfg_from_listing(listing));
-}
-
-std::vector<Prediction> MagicClassifier::predict_batch(
-    const std::vector<acfg::Acfg>& samples, util::ThreadPool& pool) const {
-  if (!fitted()) throw std::logic_error("MagicClassifier::predict_batch: not fitted");
-  std::vector<Prediction> results(samples.size());
-  if (samples.empty()) return results;
-  const std::size_t chunks = std::min(pool.size(), std::max<std::size_t>(1, samples.size()));
-  // One replica per chunk, materialized once and reused on later calls.
-  const std::shared_ptr<ReplicaPool> replicas = ensure_replica_pool();
-  replicas->warm(chunks);
-  const std::size_t per_chunk = (samples.size() + chunks - 1) / chunks;
-  pool.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(samples.size(), begin + per_chunk);
-    if (begin >= end) return;
-    const ReplicaPool::Lease replica = replicas->acquire();
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = replica->predict_on_own_model(samples[i]);
-    }
-  });
-  return results;
-}
-
-std::vector<Prediction> MagicClassifier::predict_packed(const GraphBatch& batch) const {
-  if (!fitted()) throw std::logic_error("MagicClassifier::predict_packed: not fitted");
-  if (is_pool_replica_) return predict_packed_on_own_model(batch);
-  const std::shared_ptr<ReplicaPool> replicas = ensure_replica_pool();
-  const ReplicaPool::Lease replica = replicas->acquire();
-  return replica->predict_packed_on_own_model(batch);
-}
-
-std::shared_ptr<ReplicaPool> MagicClassifier::ensure_replica_pool() const {
-  util::MutexLock lock(pool_mutex_);
-  if (!replica_pool_) replica_pool_ = std::make_shared<ReplicaPool>(*this);
-  return replica_pool_;
-}
-
-std::shared_ptr<ReplicaPool> MagicClassifier::replica_pool(
-    const ReplicaPoolOptions& options) const {
-  if (!fitted()) throw std::logic_error("MagicClassifier::replica_pool: not fitted");
-  const std::shared_ptr<ReplicaPool> pool = ensure_replica_pool();
-  pool->warm(options.warm_count);
-  return pool;
-}
-
-std::shared_ptr<ReplicaPool> MagicClassifier::replica_pool(std::size_t warm_count) const {
-  return replica_pool(ReplicaPoolOptions{warm_count});
 }
 
 Explanation MagicClassifier::explain(const acfg::Acfg& sample) {
@@ -339,12 +218,6 @@ MagicClassifier MagicClassifier::load(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("MagicClassifier: cannot open " + path);
   return load(in);
-}
-
-void MagicClassifier::save_file(const std::string& path) const { save(path); }
-
-MagicClassifier MagicClassifier::load_file(const std::string& path) {
-  return load(path);
 }
 
 }  // namespace magic::core

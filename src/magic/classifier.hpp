@@ -7,10 +7,10 @@
 // be saved and loaded, so a cloud-trained model can ship to clients.
 //
 // Inference surface: classify(span, PredictOptions) is the single entry
-// point — const, thread-safe (replica leases) and engine-selectable
-// (packed block-diagonal batching vs. per-sample forwards). The historic
-// predict / predict_listing / predict_batch calls are thin wrappers over
-// it and remain source compatible.
+// point. It is const and thread-safe: every call packs its graphs into
+// block-diagonal batches and scores them through the one shared model with
+// DgcnnModel::predict_batch, keeping all per-call scratch in workspaces it
+// owns. predict / predict_listing are classify() of one graph.
 
 #include <iosfwd>
 #include <memory>
@@ -24,42 +24,20 @@
 #include "magic/dgcnn.hpp"
 #include "magic/graph_batch.hpp"
 #include "magic/trainer.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
+#include "nn/graph_conv.hpp"
 
 namespace magic::core {
 
-class ReplicaPool;
-
-/// Which forward path classify() drives.
-enum class PredictEngine {
-  /// Pack graphs into block-diagonal GraphBatches and score each pack in
-  /// one fused forward (DgcnnModel::predict_batch). Default; results match
-  /// PerSample to floating-point reassociation (tests pin 1e-9 relative).
-  Packed,
-  /// One forward per graph — the training-time code path.
-  PerSample,
-};
-
 /// Options for MagicClassifier::classify().
 struct PredictOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency(). Each worker
-  /// scores on its own exclusively leased model replica, so any value is
-  /// safe from any thread.
+  /// Worker threads; 0 = std::thread::hardware_concurrency(). At most one
+  /// worker per pack is started. Results do not depend on this value.
   std::size_t threads = 1;
-  /// Packed engine only: graphs are grouped greedily until the next graph
-  /// would push the pack past this many total vertices (a single oversized
-  /// graph still forms its own pack). Bounds peak memory of the packed
+  /// Graphs are grouped greedily into packs until the next graph would
+  /// push the pack past this many total vertices (a single oversized graph
+  /// still forms its own pack). Bounds peak memory of the packed
   /// activations. Must be >= 1.
   std::size_t max_pack_vertices = 4096;
-  PredictEngine engine = PredictEngine::Packed;
-};
-
-/// Named options for MagicClassifier::replica_pool().
-struct ReplicaPoolOptions {
-  /// Replicas to materialize eagerly; the pool still grows on demand.
-  std::size_t warm_count = 0;
 };
 
 /// One prediction: the winning family plus the full distribution.
@@ -88,17 +66,9 @@ class MagicClassifier {
   MagicClassifier(DgcnnConfig config, TrainOptions train_options = {},
                   std::uint64_t seed = 42);
 
-  /// Move-only (the model is a unique resource). Hand-written because
-  /// pool_mutex_ is a real (non-movable) capability: the moved-to object
-  /// keeps its own mutex and takes over the cached replica pool. Moving a
-  /// classifier that another thread is concurrently using is — as ever —
-  /// undefined behaviour; the lock here only keeps the cached-pool handoff
-  /// well-formed.
-  MagicClassifier(MagicClassifier&& other) noexcept;
-  MagicClassifier& operator=(MagicClassifier&& other) noexcept;
-  MagicClassifier(const MagicClassifier&) = delete;
-  MagicClassifier& operator=(const MagicClassifier&) = delete;
-  ~MagicClassifier();
+  /// Move-only (the model is a unique resource).
+  MagicClassifier(MagicClassifier&&) noexcept = default;
+  MagicClassifier& operator=(MagicClassifier&&) noexcept = default;
 
   /// Trains on the whole dataset (with an internal stratified holdout for
   /// the lr-on-plateau schedule when `holdout_fraction` > 0).
@@ -111,43 +81,27 @@ class MagicClassifier {
 
   /// ---- Prediction surface ----------------------------------------------
   ///
-  /// classify() is THE inference entry point: const, thread-safe (every
-  /// call scores on exclusively leased replicas from the cached pool, never
-  /// on the shared model instance) and engine-selectable via PredictOptions.
-  /// predict / predict_listing / predict_batch below are thin wrappers kept
-  /// so existing call sites compile unchanged.
+  /// Every call below is const and reads only the weights, so any number
+  /// of threads may score at once on one classifier, as long as no thread
+  /// fits it meanwhile.
 
-  /// Classifies `samples` in input order. Requires a fitted or loaded
-  /// model. Safe to call concurrently from any number of threads.
+  /// Classifies `samples` in input order: the one inference path. Requires
+  /// a fitted or loaded model.
   std::vector<Prediction> classify(std::span<const acfg::Acfg> samples,
                                    const PredictOptions& options = {}) const;
 
-  /// Classifies one ACFG: classify() of a single sample (per-sample
-  /// engine). Const and thread-safe — scoring happens on a leased replica.
+  /// Classifies one ACFG: classify() of a single sample.
   Prediction predict(const acfg::Acfg& sample) const;
 
   /// Full pipeline: assembly listing -> CFG -> ACFG -> prediction.
-  /// Const and thread-safe, like predict().
   Prediction predict_listing(std::string_view listing) const;
 
-  /// Compatibility wrapper: per-sample engine driven by the caller's thread
-  /// pool (classify() manages its own workers instead). Result order
-  /// matches the input order.
-  std::vector<Prediction> predict_batch(const std::vector<acfg::Acfg>& samples,
-                                        util::ThreadPool& pool) const;
-
-  /// Scores one pre-packed batch in a single fused forward on a leased
-  /// replica; returns one Prediction per packed graph. Const, thread-safe.
-  std::vector<Prediction> predict_packed(const GraphBatch& batch) const;
-
-  /// The cached replica pool, (re)built from the current weights on first
-  /// use, eagerly warmed to `options.warm_count` replicas, and invalidated
-  /// whenever fit() / fit_indices() retrains. Shared by classify() and the
-  /// serving layer (serve::InferenceServer); replicas are leased out, so
-  /// concurrent consumers never collide. Thread-safe.
-  std::shared_ptr<ReplicaPool> replica_pool(const ReplicaPoolOptions& options) const;
-  /// Compatibility overload of the above (warm_count positional).
-  std::shared_ptr<ReplicaPool> replica_pool(std::size_t warm_count = 0) const;
+  /// Scores one pre-packed batch in a single fused forward, with its
+  /// scratch in the caller's `workspace` (one per concurrent caller);
+  /// returns one Prediction per packed graph. classify() and the serving
+  /// layer's workers score through this.
+  std::vector<Prediction> predict_packed(const GraphBatch& batch,
+                                         nn::InferenceWorkspace& workspace) const;
 
   /// Classifies and attributes the verdict to basic blocks / attribute
   /// channels via input gradients (saliency). Analyst triage tooling: "which
@@ -169,14 +123,11 @@ class MagicClassifier {
   /// format ("MAGIC-MODEL v2": config, derived k, family names, every
   /// parameter tensor; see model_io.cpp). The path overloads open the file
   /// and delegate to the stream pair; save -> load -> predict is
-  /// bit-reproducible. save_file/load_file are legacy aliases of the path
-  /// overloads and simply delegate.
+  /// bit-reproducible.
   void save(std::ostream& os) const;
   void save(const std::string& path) const;
   static MagicClassifier load(std::istream& is);
   static MagicClassifier load(const std::string& path);
-  void save_file(const std::string& path) const;
-  static MagicClassifier load_file(const std::string& path);
 
   /// Access for serialization/tests.
   DgcnnModel* model() noexcept { return model_.get(); }
@@ -184,10 +135,6 @@ class MagicClassifier {
 
  private:
   friend MagicClassifier load_classifier(std::istream& is);
-  /// The pool marks the replicas it materializes (is_pool_replica_), which
-  /// makes their predict*/classify score on their own model directly
-  /// instead of re-routing through a nested pool.
-  friend class ReplicaPool;
 
   /// Derives the SortPooling k from the training-set size distribution:
   /// the vertex count at the (1 - ratio) percentile, so that roughly
@@ -196,27 +143,14 @@ class MagicClassifier {
                                    const std::vector<std::size_t>& train_indices,
                                    double ratio);
 
-  /// Scoring on this instance's own model (exclusive access required; the
-  /// public const entry points guarantee it via leases / is_pool_replica_).
-  Prediction predict_on_own_model(const acfg::Acfg& sample) const;
-  std::vector<Prediction> predict_packed_on_own_model(const GraphBatch& batch) const;
   /// Builds a Prediction from one row of class probabilities.
   Prediction make_prediction(const double* probs, std::size_t classes) const;
-  /// The cached pool, built under pool_mutex_ on first use.
-  std::shared_ptr<ReplicaPool> ensure_replica_pool() const MAGIC_EXCLUDES(pool_mutex_);
 
   DgcnnConfig config_;
   TrainOptions train_options_;
   std::uint64_t seed_;
   std::unique_ptr<DgcnnModel> model_;
   std::vector<std::string> family_names_;
-  mutable util::Mutex pool_mutex_;
-  /// Cached clones for parallel scoring; reset whenever the weights change.
-  mutable std::shared_ptr<ReplicaPool> replica_pool_ MAGIC_GUARDED_BY(pool_mutex_);
-  /// True for replicas materialized by a ReplicaPool: they are exclusively
-  /// leased already, so their predict paths drive model_ directly (routing
-  /// through their own pool would recurse forever).
-  bool is_pool_replica_ = false;
 };
 
 }  // namespace magic::core

@@ -137,13 +137,13 @@ struct ForwardGuardClear {
 
 nn::Tensor DgcnnModel::forward(const acfg::Acfg& sample) {
 #ifdef MAGIC_CHECKED_BUILD
-  // One instance, one thread: concurrent callers must clone replicas
-  // (core::ReplicaPool). If the flag was already set another thread owns
-  // it, so throw *without* installing the clearing guard.
+  // One instance, one thread: forward() caches activations in the layers.
+  // If the flag was already set another thread owns it, so throw *without*
+  // installing the clearing guard.
   const bool already_running = in_forward_.exchange(true, std::memory_order_acq_rel);
   MAGIC_CHECK(!already_running,
               "DgcnnModel::forward: concurrent forward on one model instance; "
-              "use one replica per thread (core::ReplicaPool)");
+              "score concurrently through predict_batch");
   ForwardGuardClear forward_guard{&in_forward_};
 #endif
   if (sample.num_vertices() == 0) {
@@ -170,20 +170,8 @@ nn::Tensor DgcnnModel::forward(const acfg::Acfg& sample) {
   return head_.forward(conv_pool_->forward(z));
 }
 
-nn::Tensor DgcnnModel::predict_batch(const GraphBatch& batch) {
-#ifdef MAGIC_CHECKED_BUILD
-  // Same exclusivity contract as forward(): one instance, one thread.
-  const bool already_running = in_forward_.exchange(true, std::memory_order_acq_rel);
-  MAGIC_CHECK(!already_running,
-              "DgcnnModel::predict_batch: concurrent entry on one model "
-              "instance; use one replica per thread (core::ReplicaPool)");
-  ForwardGuardClear forward_guard{&in_forward_};
-#endif
-  if (head_.grad_enabled()) {
-    throw std::logic_error(
-        "DgcnnModel::predict_batch: inference-only; call set_training(false) "
-        "first (there is no batched backward)");
-  }
+nn::Tensor DgcnnModel::predict_batch(const GraphBatch& batch,
+                                     nn::InferenceWorkspace& workspace) const {
   if (batch.num_channels() != cfg_.input_channels) {
     throw std::invalid_argument("DgcnnModel::predict_batch: channel mismatch");
   }
@@ -196,22 +184,26 @@ nn::Tensor DgcnnModel::predict_batch(const GraphBatch& batch) {
   // One block-diagonal spmm per graph-conv layer covers all N graphs.
   const tensor::SparseMatrix prop =
       batch.propagation_operator(cfg_.normalize_propagation);
-  nn::Tensor z = stack_.forward(prop, x);
+  const nn::Tensor z = stack_.forward_inference(prop, x, workspace);
 
+  // The pooling stages sit behind unique_ptrs, which do not propagate
+  // const; going through const references keeps this path compiler-checked.
   if (cfg_.pooling == PoolingType::SortPooling) {
     // Per-segment pooling into (N x k x C), then one fused head pass.
-    return head_.forward_batch(sort_pool_->forward_packed(z, batch.offsets()));
+    const nn::SortPooling& sort_pool = *sort_pool_;
+    return head_.forward_batch(sort_pool.forward_packed(z, batch.offsets()));
   }
   // AdaptivePooling path: the pre-pool stage reads each graph's rows of the
   // packed Z in place (their heights differ); the pooled (f x g x g) maps
   // are fixed-size and batch from there on.
+  const nn::AdaptiveConvPool& conv_pool = *conv_pool_;
   const std::size_t c = z.dim(1);
-  const std::size_t f = conv_pool_->channels();
-  const std::size_t g = conv_pool_->grid();
+  const std::size_t f = conv_pool.channels();
+  const std::size_t g = conv_pool.grid();
   nn::Tensor pooled({batch.size(), f, g, g});
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    conv_pool_->forward_into(z.data() + batch.offset(i) * c, batch.vertices(i), c,
-                             pooled.data() + i * f * g * g);
+    conv_pool.forward_into(z.data() + batch.offset(i) * c, batch.vertices(i), c,
+                           pooled.data() + i * f * g * g);
   }
   return head_.forward_batch(pooled);
 }

@@ -6,9 +6,10 @@
 //
 // Training processes one graph at a time (CFGs vary in size); batching is
 // gradient accumulation across consecutive forward/backward calls, which is
-// mathematically identical to minibatch SGD for a sum loss. Inference
-// additionally offers predict_batch(): a packed block-diagonal forward that
-// scores N graphs in one pass (see magic/graph_batch.hpp).
+// mathematically identical to minibatch SGD for a sum loss. Inference is
+// predict_batch(): a const, packed block-diagonal forward that scores N
+// graphs in one pass (see magic/graph_batch.hpp) and keeps its per-call
+// scratch in a caller-owned nn::InferenceWorkspace.
 
 #include <atomic>
 #include <memory>
@@ -102,26 +103,29 @@ class DgcnnModel {
   /// from the training distribution; MagicClassifier does this for you).
   DgcnnModel(DgcnnConfig cfg, util::Rng& rng, std::size_t sort_k_hint = 16);
 
-  /// Log-probabilities over families for one graph.
+  /// Log-probabilities over families for one graph: the training-time
+  /// path.
   ///
   /// NOT const and NOT thread-safe: activations are cached in the layers
   /// for backward(), so one model instance must be driven by at most one
-  /// thread at a time. Parallel scoring clones replicas (core::ReplicaPool;
-  /// the serve layer and predict_batch do this for you). Checked builds
-  /// enforce the contract: a concurrent entry throws util::CheckError.
+  /// thread at a time. Checked builds enforce the contract: a concurrent
+  /// entry throws util::CheckError. Concurrent scoring uses predict_batch.
   nn::Tensor forward(const acfg::Acfg& sample);
 
   /// Packed-batch inference: log-probabilities for every graph in `batch`,
-  /// shape (N x num_classes), row i matching forward(graphs[i]) to within
-  /// floating-point reassociation (in practice bitwise for the GEMM stages).
+  /// shape (N x num_classes), row i matching eval-mode forward(graphs[i])
+  /// to within floating-point reassociation (bitwise for a pack of one on
+  /// the AdaptivePooling path).
   ///
-  /// Inference-only: throws std::logic_error while grad caching is enabled
-  /// (call set_training(false) first); there is no batched backward. Like
-  /// forward(), NOT thread-safe per instance — the checked-mode concurrency
-  /// guard covers this entry point too.
-  nn::Tensor predict_batch(const GraphBatch& batch);
+  /// Const and modeless: eval semantics whatever set_training says, reads
+  /// only the weights, and leaves forward()'s caches untouched, so it may
+  /// run between a training forward() and its backward(). Every per-call
+  /// buffer lives in `workspace`; any number of threads may call this at
+  /// once, each with its own workspace, while no thread mutates the model.
+  nn::Tensor predict_batch(const GraphBatch& batch,
+                           nn::InferenceWorkspace& workspace) const;
 
-  /// True while a forward pass is in flight (the checked-mode concurrency
+  /// True while a forward() is in flight (the checked-mode concurrency
   /// guard's flag; test/diagnostic hook).
   bool forward_in_flight() const noexcept {
     return in_forward_.load(std::memory_order_acquire);
@@ -173,7 +177,7 @@ class DgcnnModel {
   std::unique_ptr<tensor::SparseMatrix> last_prop_;
   nn::Tensor last_input_grad_;
 
-  // Checked-mode guard against concurrent forward passes on one instance.
+  // Checked-mode guard against concurrent forward() calls on one instance.
   std::atomic<bool> in_forward_{false};
 };
 

@@ -29,14 +29,11 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor ReLU::forward_batch(const Tensor& input) {
-  require_batch_inference("ReLU::forward_batch");
-  (void)batch_item_shape(input, "ReLU::forward_batch");
-  return forward(input);  // elementwise; eval-mode forward caches nothing
+Tensor ReLU::forward_batch(const Tensor& input) const {
+  return forward_batch_owned(Tensor(input));
 }
 
-Tensor ReLU::forward_batch_owned(Tensor&& input) {
-  require_batch_inference("ReLU::forward_batch");
+Tensor ReLU::forward_batch_owned(Tensor&& input) const {
   (void)batch_item_shape(input, "ReLU::forward_batch");
   tensor::simd::kernels().relu_fwd(input.data(), input.size());
   return std::move(input);

@@ -14,9 +14,9 @@ class ReLU : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   /// Elementwise, so the batch is just a bigger tensor (no slicing).
-  Tensor forward_batch(const Tensor& input) override;
+  Tensor forward_batch(const Tensor& input) const override;
   /// Owned input: clamps in place, reusing the caller's storage.
-  Tensor forward_batch_owned(Tensor&& input) override;
+  Tensor forward_batch_owned(Tensor&& input) const override;
   std::string name() const override { return "ReLU"; }
 
  private:

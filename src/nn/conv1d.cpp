@@ -61,8 +61,7 @@ void Conv1D::convolve_into(const double* in, double* out, std::size_t L,
   }
 }
 
-Tensor Conv1D::forward_batch(const Tensor& input) {
-  require_batch_inference("Conv1D::forward_batch");
+Tensor Conv1D::forward_batch(const Tensor& input) const {
   (void)batch_item_shape(input, "Conv1D::forward_batch");
   if (input.rank() != 3 || input.dim(1) != in_channels_) {
     throw std::invalid_argument("Conv1D::forward_batch: expected (batch x " +
@@ -77,8 +76,8 @@ Tensor Conv1D::forward_batch(const Tensor& input) {
   // then runs as a single register-blocked GEMM against W^T instead of
   // batch * C_out re-streams of each image.
   const std::size_t K = in_channels_ * kernel_;
-  col_scratch_.resize({batch * Lo, K});
-  double* col = col_scratch_.data();
+  Tensor cols({batch * Lo, K});
+  double* col = cols.data();
   for (std::size_t s = 0; s < batch; ++s) {
     const double* in = input.data() + s * in_channels_ * L;
     for (std::size_t t = 0; t < Lo; ++t) {
@@ -90,11 +89,10 @@ Tensor Conv1D::forward_batch(const Tensor& input) {
       }
     }
   }
-  tensor::matmul_nt_into(gemm_scratch_, col_scratch_,
-                         weight_.value.reshape({out_channels_, K}));
+  const Tensor gemm = tensor::matmul_nt(cols, weight_.value.reshape({out_channels_, K}));
   // Scatter (batch*Lo x C_out) back to (batch x C_out x Lo), adding bias.
   Tensor out({batch, out_channels_, Lo});
-  const double* gm = gemm_scratch_.data();
+  const double* gm = gemm.data();
   for (std::size_t s = 0; s < batch; ++s) {
     double* po = out.data() + s * out_channels_ * Lo;
     const double* gs = gm + s * Lo * out_channels_;

@@ -25,7 +25,7 @@ class Conv1D : public Module {
   /// GEMM over the whole batch (instead of re-streaming every image once
   /// per output channel), so it matches forward() per sample to within
   /// floating-point associativity of the shared kernels.
-  Tensor forward_batch(const Tensor& input) override;
+  Tensor forward_batch(const Tensor& input) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Conv1D"; }
 
@@ -44,11 +44,6 @@ class Conv1D : public Module {
   Parameter bias_;    // (C_out)
   Tensor cached_input_;
   bool cache_valid_ = false;
-  // forward_batch workspaces, reused across calls so steady-state batched
-  // inference allocates nothing here (same instance/thread contract as the
-  // gradient caches above).
-  Tensor col_scratch_;   // im2col matrix (batch*L_out x C_in*K)
-  Tensor gemm_scratch_;  // GEMM output (batch*L_out x C_out)
 };
 
 }  // namespace magic::nn

@@ -95,8 +95,7 @@ void Conv2D::convolve_into(const double* pin, double* pout, std::size_t H,
   }
 }
 
-Tensor Conv2D::forward_batch(const Tensor& input) {
-  require_batch_inference("Conv2D::forward_batch");
+Tensor Conv2D::forward_batch(const Tensor& input) const {
   (void)batch_item_shape(input, "Conv2D::forward_batch");
   if (input.rank() != 4 || input.dim(1) != in_channels_) {
     throw std::invalid_argument("Conv2D::forward_batch: expected (batch x " +

@@ -22,7 +22,7 @@ class Conv2D : public Module {
   Tensor backward(const Tensor& grad_output) override;
   /// (batch x C_in x H x W) -> (batch x C_out x Ho x Wo); each sample runs
   /// the same kernel as forward(), so results match per sample exactly.
-  Tensor forward_batch(const Tensor& input) override;
+  Tensor forward_batch(const Tensor& input) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Conv2D"; }
 

@@ -33,21 +33,13 @@ Tensor Dropout::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Dropout::forward_batch(const Tensor& input) {
-  require_batch_inference("Dropout::forward_batch");
+Tensor Dropout::forward_batch(const Tensor& input) const {
   (void)batch_item_shape(input, "Dropout::forward_batch");
-  if (training_) {
-    throw std::logic_error("Dropout::forward_batch: eval mode required");
-  }
   return input;  // inverted dropout is identity at inference time
 }
 
-Tensor Dropout::forward_batch_owned(Tensor&& input) {
-  require_batch_inference("Dropout::forward_batch");
+Tensor Dropout::forward_batch_owned(Tensor&& input) const {
   (void)batch_item_shape(input, "Dropout::forward_batch");
-  if (training_) {
-    throw std::logic_error("Dropout::forward_batch: eval mode required");
-  }
   return std::move(input);
 }
 

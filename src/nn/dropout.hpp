@@ -16,11 +16,10 @@ class Dropout : public Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  /// Identity in eval mode; throws std::logic_error while training (batched
-  /// inference never draws masks).
-  Tensor forward_batch(const Tensor& input) override;
-  /// Owned input: the eval-mode identity passes the storage straight through.
-  Tensor forward_batch_owned(Tensor&& input) override;
+  /// Batched inference is always eval mode: the identity, no mask drawn.
+  Tensor forward_batch(const Tensor& input) const override;
+  /// Owned input: the identity passes the storage straight through.
+  Tensor forward_batch_owned(Tensor&& input) const override;
   /// Replaces the owned mask stream; the parallel trainer reseeds per
   /// (epoch, sample) so masks are independent of worker assignment.
   void reseed_rng(std::uint64_t seed) override;

@@ -89,26 +89,23 @@ Tensor PaperGraphConv::forward(const SparseMatrix& prop, const Tensor& z) {
 }
 
 void PaperGraphConv::forward_inference_into(const SparseMatrix& prop,
-                                            const Tensor& z, Tensor& f_scratch,
+                                            const Tensor& z,
+                                            InferenceWorkspace& workspace,
                                             double* out, std::size_t out_stride,
-                                            Tensor* next_input) {
+                                            Tensor* next_input) const {
   check_shape_contract("PaperGraphConv::forward", z,
                        {shape::any("n"), shape::eq(in_)});
   check_propagation("PaperGraphConv::forward", prop, z);
-  if (grad_enabled_) {
-    throw std::logic_error(
-        "PaperGraphConv::forward_inference_into: grad caching must be off");
-  }
-  cached_prop_ = nullptr;  // invalidate any stale training cache
   const std::size_t n = z.dim(0);
-  tensor::matmul_into(f_scratch, z, weight_.value);  // consumes z fully
+  Tensor& f = workspace.f;
+  tensor::matmul_into(f, z, weight_.value);  // consumes z fully
   // The resize may reallocate; safe even when next_input aliases z because
   // the matmul above was the last reader of z.
   if (next_input != nullptr) next_input->resize({n, out_});
   double* mirror = next_input != nullptr ? next_input->data() : nullptr;
   const std::size_t width = out_;
   const Activation act = activation_;
-  prop.multiply_into(f_scratch, out, out_stride,
+  prop.multiply_into(f, out, out_stride,
                      [mirror, width, act](std::size_t r, double* row) {
                        apply_activation(act, row, width);
                        if (mirror != nullptr) {
@@ -188,27 +185,23 @@ Tensor SageConv::forward(const SparseMatrix& prop, const Tensor& z) {
 }
 
 void SageConv::forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                                      Tensor& f_scratch, double* out,
+                                      InferenceWorkspace& workspace, double* out,
                                       std::size_t out_stride,
-                                      Tensor* next_input) {
+                                      Tensor* next_input) const {
   check_shape_contract("SageConv::forward", z,
                        {shape::any("n"), shape::eq(in_)});
   check_propagation("SageConv::forward", prop, z);
-  if (grad_enabled_) {
-    throw std::logic_error(
-        "SageConv::forward_inference_into: grad caching must be off");
-  }
-  cached_prop_ = nullptr;
   const std::size_t n = z.dim(0);
-  h_scratch_.resize({n, 2 * in_});
-  h_scratch_.fill(0.0);
-  build_sage_concat(prop, z, in_, h_scratch_);
+  Tensor& h = workspace.h;
+  h.resize({n, 2 * in_});
+  h.fill(0.0);
+  build_sage_concat(prop, z, in_, h);
   // z is fully consumed; next_input may now alias it.
-  tensor::matmul_into(f_scratch, h_scratch_, weight_.value);
+  tensor::matmul_into(workspace.f, h, weight_.value);
   if (next_input != nullptr) next_input->resize({n, out_});
   double* mirror = next_input != nullptr ? next_input->data() : nullptr;
   for (std::size_t r = 0; r < n; ++r) {
-    double* row = f_scratch.data() + r * out_;
+    double* row = workspace.f.data() + r * out_;
     apply_activation(activation_, row, out_);
     std::copy(row, row + out_, out + r * out_stride);
     if (mirror != nullptr) std::copy(row, row + out_, mirror + r * out_);
@@ -288,8 +281,8 @@ Tensor TagConv::forward(const SparseMatrix& prop, const Tensor& z) {
   check_propagation("TagConv::forward", prop, z);
   const std::size_t n = z.dim(0);
   Tensor h({n, (hops_ + 1) * in_});  // zero-init = spmm accumulator
-  Tensor prev;
-  build_tag_concat(prop, z, in_, hops_, h, hop_scratch_, prev);
+  Tensor hop, prev;
+  build_tag_concat(prop, z, in_, hops_, h, hop, prev);
   if (!grad_enabled_) {
     cached_prop_ = nullptr;
     Tensor y = tensor::matmul(h, weight_.value);
@@ -305,27 +298,24 @@ Tensor TagConv::forward(const SparseMatrix& prop, const Tensor& z) {
 }
 
 void TagConv::forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                                     Tensor& f_scratch, double* out,
-                                     std::size_t out_stride, Tensor* next_input) {
+                                     InferenceWorkspace& workspace, double* out,
+                                     std::size_t out_stride,
+                                     Tensor* next_input) const {
   check_shape_contract("TagConv::forward", z,
                        {shape::any("n"), shape::eq(in_)});
   check_propagation("TagConv::forward", prop, z);
-  if (grad_enabled_) {
-    throw std::logic_error(
-        "TagConv::forward_inference_into: grad caching must be off");
-  }
-  cached_prop_ = nullptr;
   const std::size_t n = z.dim(0);
-  h_scratch_.resize({n, (hops_ + 1) * in_});
-  h_scratch_.fill(0.0);
+  Tensor& h = workspace.h;
+  h.resize({n, (hops_ + 1) * in_});
+  h.fill(0.0);
   Tensor prev;
-  build_tag_concat(prop, z, in_, hops_, h_scratch_, hop_scratch_, prev);
+  build_tag_concat(prop, z, in_, hops_, h, workspace.hop, prev);
   // z is fully consumed; next_input may now alias it.
-  tensor::matmul_into(f_scratch, h_scratch_, weight_.value);
+  tensor::matmul_into(workspace.f, h, weight_.value);
   if (next_input != nullptr) next_input->resize({n, out_});
   double* mirror = next_input != nullptr ? next_input->data() : nullptr;
   for (std::size_t r = 0; r < n; ++r) {
-    double* row = f_scratch.data() + r * out_;
+    double* row = workspace.f.data() + r * out_;
     apply_activation(activation_, row, out_);
     std::copy(row, row + out_, out + r * out_stride);
     if (mirror != nullptr) std::copy(row, row + out_, mirror + r * out_);
@@ -398,43 +388,11 @@ GraphConvStack::GraphConvStack(const GraphConvStackConfig& config, util::Rng& rn
   }
 }
 
-GraphConvStack::GraphConvStack(std::size_t in_channels,
-                               const std::vector<std::size_t>& channels,
-                               Activation activation, util::Rng& rng)
-    : GraphConvStack(
-          [&] {
-            GraphConvStackConfig config;
-            config.in_channels = in_channels;
-            config.channels = channels;
-            config.activation = activation;
-            return config;
-          }(),
-          rng) {}
-
 Tensor GraphConvStack::forward(const SparseMatrix& prop, const Tensor& x) {
   MAGIC_SHAPE_CONTRACT("GraphConvStack::forward", x, shape::any("n"),
                        shape::eq(layers_.front()->in_channels()));
   layer_outputs_.clear();
   last_n_ = x.dim(0);
-  if (!layers_.front()->grad_enabled()) {
-    // Inference fast path: each layer activates straight into its column
-    // slice of the concatenated Z^{1:h}, so there are no per-layer output
-    // tensors and no final concat copy. Bit-identical to the training path
-    // below (same matmul/spmm kernels in the same order).
-    const std::size_t n = x.dim(0);
-    Tensor concat({n, total_channels_});  // zero-init = spmm accumulator
-    const Tensor* zin = &x;
-    std::size_t offset = 0;
-    for (std::size_t t = 0; t < layers_.size(); ++t) {
-      const bool last = t + 1 == layers_.size();
-      layers_[t]->forward_inference_into(prop, *zin, f_scratch_,
-                                         concat.data() + offset, total_channels_,
-                                         last ? nullptr : &z_scratch_);
-      offset += layers_[t]->out_channels();
-      zin = &z_scratch_;
-    }
-    return concat;
-  }
   layer_outputs_.reserve(layers_.size());
   Tensor z = x;
   for (auto& layer : layers_) {
@@ -442,6 +400,26 @@ Tensor GraphConvStack::forward(const SparseMatrix& prop, const Tensor& x) {
     layer_outputs_.push_back(z);
   }
   return tensor::concat_cols(layer_outputs_);
+}
+
+Tensor GraphConvStack::forward_inference(const SparseMatrix& prop, const Tensor& x,
+                                         InferenceWorkspace& workspace) const {
+  MAGIC_SHAPE_CONTRACT("GraphConvStack::forward_inference", x, shape::any("n"),
+                       shape::eq(layers_.front()->in_channels()));
+  // Same matmul/spmm kernels in the same order as forward(), so the result
+  // is bitwise the same.
+  Tensor concat({x.dim(0), total_channels_});  // zero-init = spmm accumulator
+  const Tensor* zin = &x;
+  std::size_t offset = 0;
+  for (std::size_t t = 0; t < layers_.size(); ++t) {
+    const GraphConvOp& layer = *layers_[t];
+    const bool last = t + 1 == layers_.size();
+    layer.forward_inference_into(prop, *zin, workspace, concat.data() + offset,
+                                 total_channels_, last ? nullptr : &workspace.z);
+    offset += layer.out_channels();
+    zin = &workspace.z;
+  }
+  return concat;
 }
 
 Tensor GraphConvStack::backward(const Tensor& grad_concat) {

@@ -61,6 +61,19 @@ struct GraphConvOpOptions {
   std::size_t tag_hops = 2;
 };
 
+/// Caller-owned scratch of the const inference path
+/// (GraphConvStack::forward_inference). Every buffer is sized on first use
+/// and reused, so a caller that scores many batches through one workspace
+/// allocates only when a batch outgrows it. One workspace serves one call
+/// at a time; concurrent callers each own one, which is what lets any
+/// number of threads score on one set of weights.
+struct InferenceWorkspace {
+  Tensor f;    // per-layer GEMM output in flight
+  Tensor z;    // contiguous copy of the previous layer's output
+  Tensor h;    // Sage/Tag operand [Z | P Z | ...]
+  Tensor hop;  // Tag: contiguous previous hop while building h
+};
+
 /// One graph-convolution layer behind a uniform interface.
 ///
 /// Unlike plain Module, forward takes the per-graph propagation operator P;
@@ -71,8 +84,7 @@ struct GraphConvOpOptions {
 ///    from the vertex count;
 ///  * output width is exactly out_channels() — the stack's concat layout
 ///    and DgcnnConfig::total_graph_channels() rely on it;
-///  * forward_inference_into is bit-identical to forward() and throws
-///    std::logic_error while grad caching is enabled;
+///  * forward_inference_into is const and bit-identical to forward();
 ///  * parameters() order is deterministic (fixed-order gradient reduction
 ///    in ParallelTrainer) and every parameter name is operator-specific so
 ///    checkpoints cannot silently load across operators.
@@ -94,18 +106,17 @@ class GraphConvOp {
   /// stack's concatenated Z^{1:h}, which skips the per-layer output tensor
   /// and the final concat copy entirely. When `next_input` is non-null the
   /// activated values are mirrored into it contiguously for the next layer
-  /// (it may alias `z`; `z` is fully consumed first). `f_scratch` is a
-  /// reusable workspace. Results are bit-identical to forward(); throws
-  /// std::logic_error while grad caching is enabled.
+  /// (it may alias `z`; `z` is fully consumed first). Every per-call buffer
+  /// comes from `workspace`, so the call reads only the weight. Results are
+  /// bit-identical to forward().
   virtual void forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                                      Tensor& f_scratch, double* out,
+                                      InferenceWorkspace& workspace, double* out,
                                       std::size_t out_stride,
-                                      Tensor* next_input) = 0;
+                                      Tensor* next_input) const = 0;
 
-  /// When disabled, forward skips the backward caches (inference mode);
-  /// a subsequent backward throws std::logic_error.
+  /// When disabled, forward skips the backward caches; a subsequent
+  /// backward throws std::logic_error.
   void set_grad_enabled(bool enabled) noexcept { grad_enabled_ = enabled; }
-  bool grad_enabled() const noexcept { return grad_enabled_; }
 
   /// Every zoo operator has exactly one weight; its name and shape are
   /// operator-specific (see the concrete classes).
@@ -145,9 +156,9 @@ class PaperGraphConv final : public GraphConvOp {
   Tensor forward(const SparseMatrix& prop, const Tensor& z) override;
   Tensor backward(const Tensor& grad_output) override;
   void forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                              Tensor& f_scratch, double* out,
+                              InferenceWorkspace& workspace, double* out,
                               std::size_t out_stride,
-                              Tensor* next_input) override;
+                              Tensor* next_input) const override;
 
  private:
   const SparseMatrix* cached_prop_ = nullptr;
@@ -171,16 +182,15 @@ class SageConv final : public GraphConvOp {
   Tensor forward(const SparseMatrix& prop, const Tensor& z) override;
   Tensor backward(const Tensor& grad_output) override;
   void forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                              Tensor& f_scratch, double* out,
+                              InferenceWorkspace& workspace, double* out,
                               std::size_t out_stride,
-                              Tensor* next_input) override;
+                              Tensor* next_input) const override;
 
  private:
   const SparseMatrix* cached_prop_ = nullptr;
   Tensor cached_input_;   // H = [Z | P Z] from the last forward
   Tensor cached_preact_;  // H W before f
   Tensor dw_scratch_;     // (2*in x out) buffer for H^T dS
-  Tensor h_scratch_;      // inference-path H workspace
 };
 
 /// K-hop topology-adaptive convolution: Y = f(H W) with
@@ -201,9 +211,9 @@ class TagConv final : public GraphConvOp {
   Tensor forward(const SparseMatrix& prop, const Tensor& z) override;
   Tensor backward(const Tensor& grad_output) override;
   void forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                              Tensor& f_scratch, double* out,
+                              InferenceWorkspace& workspace, double* out,
                               std::size_t out_stride,
-                              Tensor* next_input) override;
+                              Tensor* next_input) const override;
 
  private:
   std::size_t hops_;
@@ -211,8 +221,6 @@ class TagConv final : public GraphConvOp {
   Tensor cached_input_;   // H = [Z | P Z | ... | P^K Z] from the last forward
   Tensor cached_preact_;  // H W before f
   Tensor dw_scratch_;     // ((K+1)*in x out) buffer for H^T dS
-  Tensor h_scratch_;      // inference-path H workspace
-  Tensor hop_scratch_;    // contiguous previous hop while building H
 };
 
 /// Builds the operator `options` names. Throws std::invalid_argument on
@@ -222,11 +230,6 @@ std::unique_ptr<GraphConvOp> make_graph_conv_op(const GraphConvOpOptions& option
                                                 std::size_t out_channels,
                                                 Activation activation,
                                                 util::Rng& rng);
-
-/// Deprecated name of the Eq. 1 operator, kept for one release so existing
-/// call sites keep compiling; new code names PaperGraphConv (or builds
-/// through make_graph_conv_op). See README "Migration notes".
-using GraphConvLayer = PaperGraphConv;
 
 /// Everything the stack needs to build its layers, in one place.
 /// DgcnnConfig::graph_conv_stack_config() is the single producer — config,
@@ -245,13 +248,17 @@ class GraphConvStack {
  public:
   explicit GraphConvStack(const GraphConvStackConfig& config, util::Rng& rng);
 
-  /// Deprecated shim (one release): builds a PaperGraphConv stack from the
-  /// pre-zoo positional signature. Prefer the GraphConvStackConfig ctor.
-  GraphConvStack(std::size_t in_channels, const std::vector<std::size_t>& channels,
-                 Activation activation, util::Rng& rng);
-
-  /// Returns the column-concatenated Z^{1:h} of shape (n x total_channels()).
+  /// Returns the column-concatenated Z^{1:h} of shape (n x total_channels()),
+  /// layer by layer through each operator's forward() (which caches for
+  /// backward while grad caching is enabled).
   Tensor forward(const SparseMatrix& prop, const Tensor& x);
+
+  /// Inference: the same Z^{1:h}, bit-identical to forward(), as a const
+  /// function of the weights and the caller's `workspace`. Each layer
+  /// activates straight into its column slice of the result, so there are
+  /// no per-layer output tensors and no final concat copy.
+  Tensor forward_inference(const SparseMatrix& prop, const Tensor& x,
+                           InferenceWorkspace& workspace) const;
 
   /// Takes d(loss)/d(Z^{1:h}) and returns d(loss)/d(X).
   Tensor backward(const Tensor& grad_concat);
@@ -277,10 +284,6 @@ class GraphConvStack {
   std::vector<Tensor> layer_outputs_;  // Z_1..Z_h from the last forward
   std::size_t total_channels_ = 0;
   std::size_t last_n_ = 0;
-  // Inference fast-path workspaces (see forward); reused across calls under
-  // the one-instance-one-thread replica contract.
-  Tensor f_scratch_;  // per-layer GEMM output in flight
-  Tensor z_scratch_;  // contiguous copy of the previous layer's output
 };
 
 }  // namespace magic::nn

@@ -29,27 +29,31 @@ Tensor Linear::forward(const Tensor& input) {
     throw std::invalid_argument("Linear::forward: expected (*, " +
                                 std::to_string(in_) + "), got " + input.describe());
   }
-  Tensor out = tensor::matmul(input2, weight_.value);
+  Tensor out = affine(input2);
   cache_valid_ = grad_enabled();
   if (cache_valid_) cached_input_ = std::move(input2);
+  return input_was_rank1_ ? out.reshape({out_}) : out;
+}
+
+Tensor Linear::affine(const Tensor& input) const {
+  Tensor out = tensor::matmul(input, weight_.value);
   if (has_bias_) {
     const std::size_t rows = out.dim(0);
     for (std::size_t i = 0; i < rows; ++i) {
       for (std::size_t j = 0; j < out_; ++j) out[i * out_ + j] += bias_.value[j];
     }
   }
-  return input_was_rank1_ ? out.reshape({out_}) : out;
+  return out;
 }
 
-Tensor Linear::forward_batch(const Tensor& input) {
-  require_batch_inference("Linear::forward_batch");
+Tensor Linear::forward_batch(const Tensor& input) const {
   (void)batch_item_shape(input, "Linear::forward_batch");
-  if (input.rank() != 2) {
+  if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("Linear::forward_batch: (batch x " +
                                 std::to_string(in_) + ") input required, got " +
                                 input.describe());
   }
-  return forward(input);  // the rank-2 path is already one fused GEMM
+  return affine(input);  // one fused (batch x in) GEMM
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {

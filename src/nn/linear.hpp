@@ -17,7 +17,7 @@ class Linear : public Module {
   Tensor backward(const Tensor& grad_output) override;
   /// One (batch x in) x (in x out) GEMM — forward() already accepts rank-2
   /// input, so the batch runs fused with no per-sample slicing.
-  Tensor forward_batch(const Tensor& input) override;
+  Tensor forward_batch(const Tensor& input) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Linear"; }
 
@@ -28,6 +28,9 @@ class Linear : public Module {
   Parameter& bias() noexcept { return bias_; }
 
  private:
+  /// X W + b for a rank-2 (rows x in) X: the math shared by both forwards.
+  Tensor affine(const Tensor& input) const;
+
   std::size_t in_;
   std::size_t out_;
   bool has_bias_;

@@ -35,24 +35,11 @@ Tensor LogSoftmax::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor LogSoftmax::forward_batch(const Tensor& input) {
-  require_batch_inference("LogSoftmax::forward_batch");
-  (void)batch_item_shape(input, "LogSoftmax::forward_batch");
-  if (input.rank() != 2 || input.dim(1) == 0) {
-    throw std::invalid_argument(
-        "LogSoftmax::forward_batch: (batch x classes) input required");
-  }
-  const std::size_t rows = input.dim(0), classes = input.dim(1);
-  Tensor out = input;
-  const auto& kernels = tensor::simd::kernels();
-  for (std::size_t r = 0; r < rows; ++r) {
-    kernels.logsoftmax_fwd(out.data() + r * classes, classes);
-  }
-  return out;
+Tensor LogSoftmax::forward_batch(const Tensor& input) const {
+  return forward_batch_owned(Tensor(input));
 }
 
-Tensor LogSoftmax::forward_batch_owned(Tensor&& input) {
-  require_batch_inference("LogSoftmax::forward_batch");
+Tensor LogSoftmax::forward_batch_owned(Tensor&& input) const {
   (void)batch_item_shape(input, "LogSoftmax::forward_batch");
   if (input.rank() != 2 || input.dim(1) == 0) {
     throw std::invalid_argument(

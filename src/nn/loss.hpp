@@ -16,9 +16,9 @@ class LogSoftmax : public Module {
   Tensor backward(const Tensor& grad_output) override;
   /// Row-wise log-softmax over a (batch x classes) tensor; each row matches
   /// the rank-1 forward exactly (same max/exp-sum evaluation order).
-  Tensor forward_batch(const Tensor& input) override;
+  Tensor forward_batch(const Tensor& input) const override;
   /// Owned input: normalizes each row in place (same evaluation order).
-  Tensor forward_batch_owned(Tensor&& input) override;
+  Tensor forward_batch_owned(Tensor&& input) const override;
   std::string name() const override { return "LogSoftmax"; }
 
  private:

@@ -38,8 +38,7 @@ Tensor MaxPool1D::forward(const Tensor& input) {
   return out;
 }
 
-Tensor MaxPool1D::forward_batch(const Tensor& input) {
-  require_batch_inference("MaxPool1D::forward_batch");
+Tensor MaxPool1D::forward_batch(const Tensor& input) const {
   (void)batch_item_shape(input, "MaxPool1D::forward_batch");
   if (input.rank() != 3) {
     throw std::invalid_argument("MaxPool1D::forward_batch: rank-3 input required, got " +

@@ -16,7 +16,7 @@ class MaxPool1D : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   /// (batch x C x L) -> (batch x C x L_out); no argmax bookkeeping.
-  Tensor forward_batch(const Tensor& input) override;
+  Tensor forward_batch(const Tensor& input) const override;
   std::string name() const override { return "MaxPool1D"; }
 
  private:

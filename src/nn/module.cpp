@@ -5,14 +5,6 @@
 
 namespace magic::nn {
 
-void Module::require_batch_inference(const char* who) const {
-  if (grad_enabled_) {
-    throw std::logic_error(std::string(who) +
-                           ": forward_batch is inference-only; disable grad "
-                           "caching first (set_grad_enabled(false))");
-  }
-}
-
 Shape batch_item_shape(const Tensor& input, const char* who) {
   if (input.rank() < 2) {
     throw std::invalid_argument(std::string(who) +
@@ -25,33 +17,9 @@ Shape batch_item_shape(const Tensor& input, const char* who) {
   return Shape(input.shape().begin() + 1, input.shape().end());
 }
 
-Tensor Module::forward_batch(const Tensor& input) {
-  const std::string who = name() + "::forward_batch";
-  require_batch_inference(who.c_str());
-  const Shape item_shape = batch_item_shape(input, who.c_str());
-  const std::size_t batch = input.dim(0);
-  const std::size_t item_size = input.size() / batch;
-
-  Tensor out;
-  std::size_t out_item = 0;
-  for (std::size_t s = 0; s < batch; ++s) {
-    Tensor item(item_shape);
-    for (std::size_t i = 0; i < item_size; ++i) {
-      item[i] = input[s * item_size + i];
-    }
-    const Tensor y = forward(item);
-    if (s == 0) {
-      Shape out_shape{batch};
-      for (std::size_t d : y.shape()) out_shape.push_back(d);
-      out_item = y.size();
-      out = Tensor(std::move(out_shape));
-    } else if (y.size() != out_item) {
-      throw std::logic_error(who + ": per-sample output shape changed "
-                                   "within one batch");
-    }
-    for (std::size_t i = 0; i < out_item; ++i) out[s * out_item + i] = y[i];
-  }
-  return out;
+Tensor Module::forward_batch(const Tensor& input) const {
+  static_cast<void>(input);
+  throw std::logic_error(name() + "::forward_batch: no batched forward");
 }
 
 }  // namespace magic::nn

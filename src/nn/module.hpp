@@ -49,13 +49,15 @@ class Module {
   /// Inference-only batched forward: the leading dimension of `input`
   /// indexes independent samples and the remaining dimensions are exactly
   /// one forward() input, so a module mapping shape S -> T maps
-  /// (N x S) -> (N x T). Only valid while grad caching is disabled (throws
-  /// std::logic_error otherwise — there is no backward_batch). The default
-  /// implementation slices, forwards each sample and restacks; dense layers
-  /// override it to run the whole batch as one fused op (Linear becomes a
-  /// single (N x in) GEMM). Overrides must match forward() per sample to
-  /// within floating-point associativity of the shared kernels.
-  virtual Tensor forward_batch(const Tensor& input);
+  /// (N x S) -> (N x T). Const and modeless: it always has eval semantics
+  /// (dropout is the identity, nothing is cached), whatever set_training /
+  /// set_grad_enabled say, so any number of threads may run it on one
+  /// instance while no thread mutates the parameters. There is no
+  /// backward_batch. Overrides run the whole batch as one fused op (Linear
+  /// becomes a single (N x in) GEMM) and must match forward() per sample to
+  /// within floating-point associativity of the shared kernels. The default
+  /// throws std::logic_error: only the modules of DgcnnModel's heads batch.
+  virtual Tensor forward_batch(const Tensor& input) const;
 
   /// forward_batch for a batch tensor the caller no longer needs: modules
   /// whose batched op is a pure reshape or elementwise map override this to
@@ -64,7 +66,7 @@ class Module {
   /// forward_batch(input); the default simply delegates to it. Sequential
   /// feeds its owned intermediates through this overload, which is where
   /// fused inference saves most of its memory traffic.
-  virtual Tensor forward_batch_owned(Tensor&& input) {
+  virtual Tensor forward_batch_owned(Tensor&& input) const {
     return forward_batch(input);
   }
 
@@ -75,10 +77,11 @@ class Module {
   virtual void set_training(bool training) { training_ = training; }
   bool training() const noexcept { return training_; }
 
-  /// Toggles caching of the activations backward() needs. When disabled
-  /// (inference/serving), forward() skips the input/activation copies and a
-  /// later backward() throws std::logic_error. DgcnnModel ties this to its
-  /// training mode; explain() re-enables it around an eval-mode backward.
+  /// Toggles caching of the activations backward() needs. When disabled,
+  /// forward() skips the input/activation copies and a later backward()
+  /// throws std::logic_error. DgcnnModel ties this to its training mode;
+  /// explain() re-enables it around an eval-mode backward. forward_batch
+  /// never caches, whatever this says.
   virtual void set_grad_enabled(bool enabled) { grad_enabled_ = enabled; }
   bool grad_enabled() const noexcept { return grad_enabled_; }
 
@@ -96,9 +99,6 @@ class Module {
   }
 
  protected:
-  /// Enforces the forward_batch contract (grad caching must be off).
-  void require_batch_inference(const char* who) const;
-
   bool training_ = true;
   bool grad_enabled_ = true;
 };

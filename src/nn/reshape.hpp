@@ -18,15 +18,11 @@ class Flatten : public Module {
     return grad_output.reshape(input_shape_);
   }
   /// Flattens everything after the leading batch dimension.
-  Tensor forward_batch(const Tensor& input) override {
-    require_batch_inference("Flatten::forward_batch");
-    (void)batch_item_shape(input, "Flatten::forward_batch");
-    const std::size_t batch = input.dim(0);
-    return input.reshape({batch, input.size() / batch});
+  Tensor forward_batch(const Tensor& input) const override {
+    return forward_batch_owned(Tensor(input));
   }
   /// Owned input: pure metadata change, storage moves through untouched.
-  Tensor forward_batch_owned(Tensor&& input) override {
-    require_batch_inference("Flatten::forward_batch");
+  Tensor forward_batch_owned(Tensor&& input) const override {
     (void)batch_item_shape(input, "Flatten::forward_batch");
     const std::size_t batch = input.dim(0);
     return std::move(input).reshape({batch, input.size() / batch});
@@ -51,21 +47,11 @@ class FixedReshape : public Module {
     return grad_output.reshape(input_shape_);
   }
   /// Reshapes each sample to the target shape under a leading batch dim.
-  Tensor forward_batch(const Tensor& input) override {
-    require_batch_inference("FixedReshape::forward_batch");
-    (void)batch_item_shape(input, "FixedReshape::forward_batch");
-    const std::size_t batch = input.dim(0);
-    if (input.size() != batch * target_size()) {
-      throw std::invalid_argument("FixedReshape::forward_batch: per-sample "
-                                  "size mismatch for " + input.describe());
-    }
-    Shape batched{batch};
-    for (std::size_t d : target_) batched.push_back(d);
-    return input.reshape(std::move(batched));
+  Tensor forward_batch(const Tensor& input) const override {
+    return forward_batch_owned(Tensor(input));
   }
   /// Owned input: pure metadata change, storage moves through untouched.
-  Tensor forward_batch_owned(Tensor&& input) override {
-    require_batch_inference("FixedReshape::forward_batch");
+  Tensor forward_batch_owned(Tensor&& input) const override {
     (void)batch_item_shape(input, "FixedReshape::forward_batch");
     const std::size_t batch = input.dim(0);
     if (input.size() != batch * target_size()) {

@@ -11,8 +11,7 @@ Tensor Sequential::forward(const Tensor& input) {
   return x;
 }
 
-Tensor Sequential::forward_batch(const Tensor& input) {
-  require_batch_inference("Sequential::forward_batch");
+Tensor Sequential::forward_batch(const Tensor& input) const {
   if (modules_.empty()) return input;
   // The first child reads the caller's tensor; every intermediate is owned
   // by this loop, so reshape/elementwise children recycle its storage

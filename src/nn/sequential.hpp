@@ -28,7 +28,7 @@ class Sequential : public Module {
   Tensor backward(const Tensor& grad_output) override;
   /// Chains the children's forward_batch; the batch stays fused wherever a
   /// child provides a native batched kernel.
-  Tensor forward_batch(const Tensor& input) override;
+  Tensor forward_batch(const Tensor& input) const override;
   std::vector<Parameter*> parameters() override;
   void set_training(bool training) override;
   void set_grad_enabled(bool enabled) override;

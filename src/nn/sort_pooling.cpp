@@ -42,8 +42,7 @@ Tensor SortPooling::forward(const Tensor& input) {
 }
 
 Tensor SortPooling::forward_packed(const Tensor& packed,
-                                   const std::vector<std::size_t>& offsets) {
-  require_batch_inference("SortPooling::forward_packed");
+                                   const std::vector<std::size_t>& offsets) const {
   if (packed.rank() != 2) {
     throw std::invalid_argument("SortPooling::forward_packed: rank-2 input");
   }

@@ -27,10 +27,10 @@ class SortPooling : public Module {
   /// Packed-batch pooling: `packed` is a (total_vertices x C) concatenation
   /// of N graphs' vertex descriptors and `offsets` the (N+1) segment bounds.
   /// Each segment is sorted with the same comparator as forward() and
-  /// truncated/zero-padded to k rows, yielding (N x k x C). Inference-only;
-  /// leaves the forward()/backward() caches untouched.
+  /// truncated/zero-padded to k rows, yielding (N x k x C). Inference-only
+  /// and const: leaves the forward()/backward() caches untouched.
   Tensor forward_packed(const Tensor& packed,
-                        const std::vector<std::size_t>& offsets);
+                        const std::vector<std::size_t>& offsets) const;
 
   /// Row order chosen by the last forward: position p in the output came
   /// from input row order()[p] (only the first min(n, k) entries are used).

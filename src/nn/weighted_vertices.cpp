@@ -45,8 +45,7 @@ Tensor WeightedVertices::forward(const Tensor& input) {
   return out;
 }
 
-Tensor WeightedVertices::forward_batch(const Tensor& input) {
-  require_batch_inference("WeightedVertices::forward_batch");
+Tensor WeightedVertices::forward_batch(const Tensor& input) const {
   (void)batch_item_shape(input, "WeightedVertices::forward_batch");
   if (input.rank() != 3 || input.dim(1) != k_) {
     throw std::invalid_argument("WeightedVertices::forward_batch: expected (batch x " +

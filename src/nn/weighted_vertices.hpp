@@ -25,7 +25,7 @@ class WeightedVertices : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   /// (batch x k x C) -> (batch x C); identical accumulation order per sample.
-  Tensor forward_batch(const Tensor& input) override;
+  Tensor forward_batch(const Tensor& input) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "WeightedVertices"; }
 

@@ -193,7 +193,7 @@ int selftrain(const Options& opt) {
   util::Timer timer;
   clf.fit(corpus, 0.15);
   std::cerr << "magicd: trained in " << timer.seconds() << "s\n";
-  clf.save_file(opt.selftrain_path);
+  clf.save(opt.selftrain_path);
   std::cerr << "magicd: model saved to " << opt.selftrain_path << "\n";
 
   if (!opt.samples_dir.empty()) {
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
     if (!opt.selftrain_path.empty()) return selftrain(opt);
 
     auto clf = std::make_unique<core::MagicClassifier>(
-        core::MagicClassifier::load_file(opt.model_path));
+        core::MagicClassifier::load(opt.model_path));
     const std::size_t families = clf->family_names().size();
     const char* conv_op =
         nn::graph_conv_operator_name(clf->config().graph_conv_op);

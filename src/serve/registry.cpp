@@ -69,9 +69,9 @@ std::shared_ptr<ModelRegistry::Version> ModelRegistry::make_version(
 void ModelRegistry::load_version(const std::string& name,
                                  const std::string& path, bool make_default) {
   // Materialize the new version entirely outside the lock: checkpoint
-  // parsing and replica warm-up must not block in-flight scans.
+  // parsing and worker start-up must not block in-flight scans.
   auto model = std::make_unique<core::MagicClassifier>(
-      core::MagicClassifier::load_file(path));
+      core::MagicClassifier::load(path));
   auto version = make_version(name, std::move(model));
 
   std::shared_ptr<Version> replaced;

@@ -3,7 +3,8 @@
 // atomic hot-swap of the default and shadow-mode candidate evaluation.
 //
 // Each version owns its model and a dedicated InferenceServer (its own
-// replicas, queue, cache and stats), held in a shared_ptr. A scan resolves
+// workers, queue, cache and stats) that scores on that one model, held in a
+// shared_ptr. A scan resolves
 // its target version under the registry mutex, takes a reference, and
 // submits outside the lock — so `reload` swaps the default pointer without
 // ever blocking scans or dropping requests: in-flight verdicts are owned by
@@ -102,9 +103,8 @@ class ModelRegistry final : public ScanService {
  private:
   struct Version {
     std::string name;
-    /// The server snapshots the model's weights at construction, but the
-    /// model stays owned here so the version can later grow non-serving
-    /// surfaces (explain, re-save) without changing lifetime rules.
+    /// The server references the model, so the model is declared first:
+    /// it is destroyed after the server has drained.
     std::unique_ptr<core::MagicClassifier> model;
     std::unique_ptr<InferenceServer> server;
   };

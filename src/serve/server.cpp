@@ -1,6 +1,8 @@
 #include "serve/server.hpp"
 
 #include <exception>
+#include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "acfg/extractor.hpp"
@@ -18,23 +20,24 @@ const char* to_string(VerdictStatus status) noexcept {
   return "error";
 }
 
-InferenceServer::InferenceServer(core::MagicClassifier& model, ServeConfig config)
-    : config_(config),
-      family_names_(model.family_names()),
+InferenceServer::InferenceServer(const core::MagicClassifier& model,
+                                 ServeConfig config)
+    : model_(model),
+      config_(config),
       queue_(config.queue_capacity),
       stats_(config.max_batch == 0 ? 1 : config.max_batch) {
+  if (!model_.fitted()) {
+    throw std::logic_error("InferenceServer: the model is not fitted");
+  }
   if (config_.workers == 0) config_.workers = 1;
   if (config_.max_batch == 0) config_.max_batch = 1;
   if (config_.cache_bytes > 0) {
     cache_ = std::make_unique<cache::VerdictCache>(
         cache::CacheConfig{config_.cache_bytes, config_.cache_shards});
   }
-  // Reuses the classifier's cached pool: a second server over the same
-  // model (or a predict_batch call) shares the same replicas.
-  replicas_ = model.replica_pool(config_.workers);
   workers_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -59,9 +62,9 @@ PendingVerdict InferenceServer::submit(acfg::Acfg sample,
 
   if (cache_) {
     // Content-addressed fast path, checked *before* the queue: a hit costs
-    // one hash + one shard lock and never consumes queue capacity, a
-    // replica lease or a forward pass. The hash is kept on the request so
-    // the completion path can insert the miss without rehashing.
+    // one hash + one shard lock and never consumes queue capacity or a
+    // forward pass. The hash is kept on the request so the completion path
+    // can insert the miss without rehashing.
     request.cache_key = cache::acfg_content_hash(request.sample);
     request.cacheable = true;
     if (std::optional<cache::CachedVerdict> hit = cache_->get(request.cache_key)) {
@@ -132,7 +135,8 @@ void InferenceServer::cache_store(const Queued& request,
   cache_->insert(request.cache_key, std::move(value));
 }
 
-void InferenceServer::worker_loop(std::size_t) {
+void InferenceServer::worker_loop() {
+  nn::InferenceWorkspace workspace;  // this worker's scratch, for its lifetime
   Queued first;
   while (queue_.pop(first)) {
     // Dynamic micro-batch: keep collecting until the batch fills or the
@@ -149,17 +153,12 @@ void InferenceServer::worker_loop(std::size_t) {
       }
     }
     stats_.on_batch(batch.size());
-    execute_batch(batch);
+    execute_batch(batch, workspace);
   }
 }
 
-void InferenceServer::execute_batch(std::vector<Queued>& batch) {
-  // The lease spans exactly this micro-batch. RAII guarantees the replica
-  // returns to the pool even when the packed forward (or anything else in
-  // here) throws — a leaked lease would strand a replica forever and
-  // starve concurrent consumers of the shared pool.
-  const core::ReplicaPool::Lease replica = replicas_->acquire();
-
+void InferenceServer::execute_batch(std::vector<Queued>& batch,
+                                    nn::InferenceWorkspace& workspace) {
   // Shed expired requests first so they neither inflate the pack nor get
   // scored (load shedding).
   std::vector<Queued*> live;
@@ -178,14 +177,14 @@ void InferenceServer::execute_batch(std::vector<Queued>& batch) {
   }
   if (live.empty()) return;
 
-  if (config_.engine == core::PredictEngine::Packed && live.size() > 1) {
+  if (live.size() > 1) {
     try {
       std::vector<const acfg::Acfg*> graphs;
       graphs.reserve(live.size());
       for (Queued* request : live) graphs.push_back(&request->sample);
       const core::GraphBatch packed =
           core::GraphBatch::pack(std::span<const acfg::Acfg* const>(graphs));
-      std::vector<core::Prediction> preds = replica->predict_packed(packed);
+      std::vector<core::Prediction> preds = model_.predict_packed(packed, workspace);
       stats_.on_packed_batch();
       for (std::size_t i = 0; i < live.size(); ++i) {
         cache_store(*live[i], preds[i]);
@@ -200,13 +199,13 @@ void InferenceServer::execute_batch(std::vector<Queued>& batch) {
     } catch (const std::exception&) {
       // Per-item fallback: one malformed graph must not fail the whole
       // micro-batch, and per-item scoring attributes the error to the
-      // request that caused it. The lease stays held.
+      // request that caused it.
     }
   }
-  for (Queued* request : live) process(*request, *replica);
+  for (Queued* request : live) process(*request, workspace);
 }
 
-void InferenceServer::process(Queued& request, core::MagicClassifier& replica) {
+void InferenceServer::process(Queued& request, nn::InferenceWorkspace& workspace) {
   Verdict verdict;
   if (request.deadline != Clock::time_point::max() &&
       Clock::now() > request.deadline) {
@@ -217,7 +216,9 @@ void InferenceServer::process(Queued& request, core::MagicClassifier& replica) {
     return;
   }
   try {
-    verdict.prediction = replica.predict(request.sample);
+    const core::GraphBatch one =
+        core::GraphBatch::pack(std::span<const acfg::Acfg>(&request.sample, 1));
+    verdict.prediction = std::move(model_.predict_packed(one, workspace).front());
     verdict.status = VerdictStatus::Ok;
     cache_store(request, verdict.prediction);
   } catch (const std::exception& e) {

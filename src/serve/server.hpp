@@ -3,26 +3,31 @@
 //
 // The paper's §VII deployment story ("MAGIC would be deployed on a cloud...
 // users upload suspicious files... classified on demand") needs more than a
-// one-shot predict(): a resident service that owns a trained model, leases
-// a replica per micro-batch (the DGCNN forward pass is stateful, see
-// DgcnnModel::forward), and pushes every request through one bounded queue:
+// one-shot predict(): a resident service that scores on a trained model and
+// pushes every request through one bounded queue:
 //
 //   submit() --try_push--> BoundedQueue --pop--> worker micro-batcher
 //                 |                                   |
 //            full? reject                  flush on max_batch or
 //            (backpressure)                batch_window deadline
 //                                                     |
-//                                          lease replica (RAII, per batch),
 //                                          deadline-expired items shed, then
 //                                          ONE packed forward for the rest
-//                                          (per-item fallback / PerSample
-//                                          engine), PendingVerdict resolved
+//                                          on the shared const model, with
+//                                          the worker's own workspace
+//                                          (per-item fallback on error),
+//                                          PendingVerdict resolved
+//
+// Inference is a const function of the weights and a caller-owned
+// nn::InferenceWorkspace (DgcnnModel::predict_batch), so every worker
+// scores on the one classifier the server references; each worker owns
+// one workspace for its lifetime. No model is copied.
 //
 // Dynamic micro-batching: a worker that pops one request keeps collecting
 // until it has `max_batch` items or `batch_window` has elapsed, then scores
-// the whole batch on its replica. Under load batches fill instantly (queue
+// the whole batch. Under load batches fill instantly (queue
 // synchronization and stats amortize across the batch); when idle a lone
-// request waits at most one batch window.
+// request waits at most one batch window and is scored as a pack of one.
 //
 // Shutdown: stop(drain=true) — the SIGTERM path — stops admission and lets
 // workers finish every queued request; stop(drain=false) resolves queued
@@ -40,7 +45,7 @@
 #include "acfg/acfg.hpp"
 #include "cache/verdict_cache.hpp"
 #include "magic/classifier.hpp"
-#include "magic/replica_pool.hpp"
+#include "nn/graph_conv.hpp"
 #include "serve/stats.hpp"
 #include "serve/verdict.hpp"
 #include "util/bounded_queue.hpp"
@@ -52,7 +57,7 @@ namespace magic::serve {
 
 /// Tuning knobs of one InferenceServer.
 struct ServeConfig {
-  /// Worker threads == model replicas.
+  /// Worker threads.
   std::size_t workers = 4;
   /// Bounded request queue: submissions beyond this reject immediately.
   std::size_t queue_capacity = 256;
@@ -65,16 +70,11 @@ struct ServeConfig {
   /// passed when a worker picks it up resolves as DeadlineExpired without
   /// being scored (load shedding).
   std::chrono::milliseconds default_deadline{0};
-  /// How a flushed micro-batch is scored. Packed (default): all live
-  /// requests of the batch go through ONE fused block-diagonal forward on
-  /// the leased replica (core::GraphBatch), falling back to per-item
-  /// scoring if the packed pass throws; PerSample: one forward per item.
-  core::PredictEngine engine = core::PredictEngine::Packed;
   /// Byte budget of the content-addressed verdict cache; 0 disables it.
   /// The cache sits *ahead of* the micro-batcher: submit() hashes the ACFG
-  /// and a hit resolves the handle immediately, never touching the queue,
-  /// a replica lease or a forward pass. Misses are scored normally and
-  /// inserted on Ok completion.
+  /// and a hit resolves the handle immediately, never touching the queue
+  /// or a forward pass. Misses are scored normally and inserted on Ok
+  /// completion.
   std::size_t cache_bytes = 0;
   /// LRU shard count of the verdict cache (ignored when cache_bytes == 0).
   std::size_t cache_shards = 8;
@@ -83,10 +83,14 @@ struct ServeConfig {
 /// Concurrent scoring service over a fitted MagicClassifier.
 class InferenceServer {
  public:
-  /// Snapshots `model`'s weights (one replica per worker, cloned once) and
-  /// starts the worker threads. Throws std::logic_error when `model` is not
-  /// fitted. The source classifier is not referenced after construction.
-  explicit InferenceServer(core::MagicClassifier& model, ServeConfig config = {});
+  /// Starts the worker threads, which all score on `model`. The server
+  /// keeps a reference: `model` must outlive the server and must not be
+  /// refit while it serves. Throws std::logic_error when `model` is not
+  /// fitted.
+  explicit InferenceServer(const core::MagicClassifier& model,
+                           ServeConfig config = {});
+  /// A temporary classifier would die before the workers score on it.
+  explicit InferenceServer(const core::MagicClassifier&&, ServeConfig = {}) = delete;
 
   /// Graceful: equivalent to stop(/*drain=*/true).
   ~InferenceServer();
@@ -114,7 +118,9 @@ class InferenceServer {
   /// Consistent stats snapshot (callable from any thread, any time).
   ServerStats stats() const;
 
-  const std::vector<std::string>& family_names() const noexcept { return family_names_; }
+  const std::vector<std::string>& family_names() const noexcept {
+    return model_.family_names();
+  }
   const ServeConfig& config() const noexcept { return config_; }
 
   /// Stops the server (idempotent, callable concurrently). drain=true
@@ -137,23 +143,22 @@ class InferenceServer {
     bool cacheable = false;
   };
 
-  void worker_loop(std::size_t worker_index);
+  void worker_loop();
   /// Stores an Ok prediction under the request's content hash (no-op when
   /// the cache is off or the request was not hashed).
   void cache_store(const Queued& request, const core::Prediction& prediction);
-  /// Scores one flushed micro-batch: leases a replica for exactly this
-  /// batch (RAII — released even when scoring throws), resolves expired
-  /// requests, then runs the configured engine over the live ones.
-  void execute_batch(std::vector<Queued>& batch);
-  void process(Queued& request, core::MagicClassifier& replica);
+  /// Scores one flushed micro-batch with the worker's `workspace`: resolves
+  /// expired requests, then scores the live ones as one pack, falling back
+  /// to one pack per request when that throws.
+  void execute_batch(std::vector<Queued>& batch, nn::InferenceWorkspace& workspace);
+  void process(Queued& request, nn::InferenceWorkspace& workspace);
   static double elapsed_ms(Clock::time_point since);
 
+  const core::MagicClassifier& model_;
   ServeConfig config_;
-  std::vector<std::string> family_names_;
   /// Verdict cache (null when config_.cache_bytes == 0). Owned per server:
-  /// verdicts are per-model, and this server's replicas never change.
+  /// verdicts are per-model, and this server's model never changes.
   std::unique_ptr<cache::VerdictCache> cache_;
-  std::shared_ptr<core::ReplicaPool> replicas_;
   util::BoundedQueue<Queued> queue_;
   StatsCollector stats_;
   std::atomic<bool> accepting_{true};

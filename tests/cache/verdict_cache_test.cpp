@@ -193,6 +193,25 @@ TEST(VerdictCache, MirrorsIntoGlobalRegistryWhenEnabled) {
   registry.reset_values();
 }
 
+// The cache.bytes / cache.entries gauges describe the whole cache, not the
+// shard an insert last touched.
+TEST(VerdictCache, GaugesReportWholeCacheResidency) {
+  obs::MetricsRegistry::global().reset_values();
+  obs::set_enabled(true);
+  VerdictCache cache({1 << 20, 2});
+  cache.insert(key_of(0), verdict_of(0));  // shard 0
+  cache.insert(key_of(1), verdict_of(1));  // shard 1
+  cache.insert(key_of(3), verdict_of(3));  // shard 1
+  cache.insert(key_of(2), verdict_of(2));  // shard 0: touched last
+  obs::set_enabled(false);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 4u);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  EXPECT_EQ(registry.gauge("cache.entries").value(), static_cast<double>(stats.entries));
+  EXPECT_EQ(registry.gauge("cache.bytes").value(), static_cast<double>(stats.bytes));
+  registry.reset_values();
+}
+
 TEST(VerdictCache, NoMirrorWhenObsDisabled) {
   obs::MetricsRegistry::global().reset_values();
   ASSERT_FALSE(obs::enabled());

@@ -143,8 +143,10 @@ TEST(MagicClassifier, PredictBatchMatchesSerialPredictions) {
   for (int i = 0; i < 9; ++i) {
     batch.push_back(make_graph(i % 2, 4 + static_cast<std::size_t>(i % 5), i % 2 == 0, rng));
   }
-  util::ThreadPool pool(3);
-  const auto parallel = clf.predict_batch(batch, pool);
+  PredictOptions parallel_options;
+  parallel_options.threads = 3;
+  parallel_options.max_pack_vertices = 8;  // several packs across the threads
+  const auto parallel = clf.classify(batch, parallel_options);
   ASSERT_EQ(parallel.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Prediction serial = clf.predict(batch[i]);
@@ -157,14 +159,13 @@ TEST(MagicClassifier, PredictBatchMatchesSerialPredictions) {
 
 TEST(MagicClassifier, PredictBatchEmptyAndUnfitted) {
   MagicClassifier unfitted(small_config());
-  util::ThreadPool pool(2);
-  EXPECT_THROW(unfitted.predict_batch({}, pool), std::logic_error);
+  EXPECT_THROW(unfitted.classify({}), std::logic_error);
   data::Dataset d = separable_dataset(6, 22);
   TrainOptions quick = fast_train();
   quick.epochs = 2;
   MagicClassifier clf(small_config(), quick, 23);
   clf.fit(d, 0.2);
-  EXPECT_TRUE(clf.predict_batch({}, pool).empty());
+  EXPECT_TRUE(clf.classify({}, PredictOptions{.threads = 2}).empty());
 }
 
 TEST(MagicClassifier, ExplainProducesNormalizedSaliency) {
@@ -215,8 +216,8 @@ TEST(MagicClassifier, FileRoundTrip) {
   MagicClassifier clf(small_config(), quick, 18);
   clf.fit(d, 0.2);
   const std::string path = ::testing::TempDir() + "/magic_model.txt";
-  clf.save_file(path);
-  MagicClassifier restored = MagicClassifier::load_file(path);
+  clf.save(path);
+  MagicClassifier restored = MagicClassifier::load(path);
   EXPECT_EQ(restored.family_names(), clf.family_names());
 }
 

@@ -3,9 +3,13 @@
 // clearly separable, so training tests stay fast and deterministic.
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "acfg/attributes.hpp"
 #include "data/dataset.hpp"
+#include "magic/classifier.hpp"
+#include "nn/loss.hpp"
 #include "util/rng.hpp"
 
 namespace magic::core::testing {
@@ -55,6 +59,25 @@ inline data::Dataset separable_dataset(std::size_t per_class, std::uint64_t seed
     d.samples.push_back(make_graph(1, m, false, rng));
   }
   return d;
+}
+
+/// The reference the packed-inference suites compare against: one
+/// eval-mode DgcnnModel::forward per graph, the training-time code path.
+inline std::vector<Prediction> eval_forward_predictions(
+    MagicClassifier& clf, std::span<const acfg::Acfg> graphs) {
+  DgcnnModel& model = *clf.model();
+  model.set_training(false);
+  std::vector<Prediction> out;
+  out.reserve(graphs.size());
+  for (const acfg::Acfg& g : graphs) {
+    const nn::Tensor probs = nn::exp_probs(model.forward(g));
+    Prediction p;
+    p.family_index = tensor::argmax(probs);
+    p.family_name = clf.family_names().at(p.family_index);
+    p.probabilities.assign(probs.data(), probs.data() + probs.size());
+    out.push_back(std::move(p));
+  }
+  return out;
 }
 
 }  // namespace magic::core::testing

@@ -1,11 +1,16 @@
 #include "magic/dgcnn.hpp"
 
+#include <chrono>
 #include <cmath>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "magic/core_test_util.hpp"
 #include "nn/loss.hpp"
+#include "util/check.hpp"
 
 namespace magic::core {
 namespace {
@@ -206,6 +211,119 @@ TEST(DgcnnModel, Log1pPreprocessingChangesOutput) {
   m1.set_training(false);
   m2.set_training(false);
   EXPECT_FALSE(tensor::allclose(m1.forward(g), m2.forward(g), 1e-9));
+}
+
+TEST(DgcnnModel, ConcurrentForwardOnOneInstanceThrowsInCheckedBuild) {
+  util::Rng data_rng(49);
+  util::Rng rng(50);
+  DgcnnModel model(base_config(PoolingType::SortPooling, RemainingLayer::WeightedVertices),
+                   rng, 6);
+  // Big enough that the first forward is still running when the second
+  // thread enters it.
+  const acfg::Acfg big = make_graph(0, 4000, true, data_rng);
+  const acfg::Acfg small = make_graph(0, 6, true, data_rng);
+
+  EXPECT_FALSE(model.forward_in_flight());
+  model.set_training(false);
+  std::thread first([&] { (void)model.forward(big); });
+  // Wait for the first forward to actually be in flight (the 4000-vertex
+  // pass runs for many milliseconds; bound the wait anyway).
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool observed = false;
+  while (std::chrono::steady_clock::now() < give_up) {
+    if (model.forward_in_flight()) {
+      observed = true;
+      break;
+    }
+    std::this_thread::yield();
+  }
+  if (observed) {
+    // Entering forward on the same instance from this thread must trip the
+    // guard before any layer state is touched.
+    EXPECT_THROW((void)model.forward(small), util::CheckError);
+  }
+  first.join();
+  EXPECT_FALSE(model.forward_in_flight());
+  // The guard clears with the owning forward: the model is usable again.
+  EXPECT_NO_THROW((void)model.forward(small));
+}
+
+// predict_batch is const and modeless: run between a training forward()
+// and its backward() it must leave every cache backward() reads (and the
+// dropout stream) untouched, and score with eval semantics anyway.
+TEST(DgcnnModel, PredictBatchBetweenForwardAndBackwardKeepsGradients) {
+  util::Rng data_rng(19);
+  const acfg::Acfg g = make_graph(1, 9, true, data_rng);
+  const std::vector<acfg::Acfg> others{make_graph(0, 5, false, data_rng),
+                                       make_graph(1, 30, true, data_rng)};
+  const GraphBatch batch = GraphBatch::pack(std::span<const acfg::Acfg>(others));
+  for (DgcnnConfig cfg : all_variants()) {
+    cfg.dropout_rate = 0.5;
+    util::Rng rng(20);
+    DgcnnModel model(cfg, rng, 6);
+    nn::Tensor scored_in_training;
+    auto gradients = [&](bool interleave) {
+      for (auto* p : model.parameters()) p->zero_grad();
+      model.set_training(true);
+      model.reseed_rng(21);
+      nn::NllLoss loss;
+      loss.forward(model.forward(g), 1);
+      if (interleave) {
+        nn::InferenceWorkspace workspace;
+        scored_in_training = model.predict_batch(batch, workspace);
+      }
+      model.backward(loss.backward());
+      std::vector<nn::Tensor> grads;
+      for (auto* p : model.parameters()) grads.push_back(p->grad);
+      grads.push_back(model.input_gradient());
+      return grads;
+    };
+    const std::vector<nn::Tensor> want = gradients(false);
+    const std::vector<nn::Tensor> got = gradients(true);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(got[i].same_shape(want[i])) << cfg.describe();
+      for (std::size_t j = 0; j < want[i].size(); ++j) {
+        EXPECT_EQ(got[i][j], want[i][j]) << cfg.describe() << " tensor " << i
+                                         << " element " << j;
+      }
+    }
+
+    model.set_training(false);
+    nn::InferenceWorkspace workspace;
+    const nn::Tensor scored_in_eval = model.predict_batch(batch, workspace);
+    ASSERT_TRUE(scored_in_eval.same_shape(scored_in_training));
+    for (std::size_t j = 0; j < scored_in_eval.size(); ++j) {
+      EXPECT_EQ(scored_in_training[j], scored_in_eval[j]) << cfg.describe();
+    }
+  }
+}
+
+// A pack of one on the AdaptivePooling path runs the same kernels in the
+// same order as eval-mode forward(), so the log-probabilities are bitwise
+// equal for every operator; one workspace serves every graph size.
+TEST(DgcnnModel, PackOfOneIsBitwiseEvalForwardOnAdaptivePooling) {
+  util::Rng data_rng(22);
+  for (auto op : {nn::GraphConvOperator::Paper, nn::GraphConvOperator::Sage,
+                  nn::GraphConvOperator::Tag}) {
+    DgcnnConfig cfg = base_config(PoolingType::AdaptivePooling, RemainingLayer::Conv1D);
+    cfg.graph_conv_op = op;
+    cfg.dropout_rate = 0.5;
+    util::Rng rng(23);
+    DgcnnModel model(cfg, rng, 6);
+    model.set_training(false);
+    nn::InferenceWorkspace workspace;
+    for (std::size_t n : {300u, 1u, 2u, 7u, 40u}) {
+      const acfg::Acfg g = make_graph(static_cast<int>(n % 2), n, n % 2 == 0, data_rng);
+      const nn::Tensor want = model.forward(g);
+      const nn::Tensor got =
+          model.predict_batch(GraphBatch::pack(std::span(&g, 1)), workspace);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t j = 0; j < want.size(); ++j) {
+        EXPECT_EQ(got[j], want[j]) << cfg.describe() << " n=" << n;
+      }
+    }
+  }
 }
 
 }  // namespace

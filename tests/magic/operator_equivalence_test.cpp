@@ -1,7 +1,8 @@
 // Per-operator equivalence suite for the graph-convolution zoo: every
 // operator (paper / sage / tag) must
-//   * agree packed-vs-per-sample to 1e-9 across the PR-5 graph-size mix
-//     (the packed engine shares one block-diagonal SpMM per layer), and
+//   * agree packed-vs-per-graph (eval-mode DgcnnModel::forward) to 1e-9
+//     across the graph-size mix below (packed inference shares one
+//     block-diagonal SpMM per layer), and
 //   * train bitwise thread-count-invariantly (the fixed-order gradient
 //     reduction must be operator-agnostic).
 // CI runs this suite under MAGIC_SIMD=scalar and native (the simd-dispatch
@@ -20,6 +21,7 @@
 namespace magic::core {
 namespace {
 
+using testing::eval_forward_predictions;
 using testing::make_graph;
 using testing::separable_dataset;
 
@@ -54,7 +56,7 @@ MagicClassifier fitted(const DgcnnConfig& cfg, std::uint64_t seed) {
   return clf;
 }
 
-/// The PR-5 size mix: 1..500 vertices plus an edge-free graph.
+/// The size mix: 1..500 vertices plus an edge-free graph.
 std::vector<acfg::Acfg> size_mix(std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<acfg::Acfg> mix;
@@ -89,15 +91,11 @@ void expect_match(const std::vector<Prediction>& got,
 class OperatorEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(OperatorEquivalence, PackedMatchesPerSampleAndPredict) {
-  const MagicClassifier clf = fitted(config_for(GetParam()), 160 + GetParam());
+  MagicClassifier clf = fitted(config_for(GetParam()), 160 + GetParam());
   const std::vector<acfg::Acfg> mix = size_mix(161);
-
-  PredictOptions per_sample;
-  per_sample.engine = PredictEngine::PerSample;
-  const std::vector<Prediction> baseline = clf.classify(mix, per_sample);
+  const std::vector<Prediction> baseline = eval_forward_predictions(clf, mix);
 
   PredictOptions packed;
-  packed.engine = PredictEngine::Packed;
   packed.max_pack_vertices = 100000;
   expect_match(clf.classify(mix, packed), baseline, "one big pack");
 

@@ -1,8 +1,8 @@
-// Equivalence suite for the packed-batch inference engine: classify() with
-// PredictEngine::Packed must agree with PredictEngine::PerSample (and with
-// the single-sample predict() wrapper) to 1e-9 relative tolerance across
-// every model variant, graph-size mix (1..500 vertices, k smaller than the
-// graph, edge-free graphs) and threading mode.
+// Equivalence suite for packed inference: classify() (and the single-graph
+// predict() wrapper) must agree with one eval-mode DgcnnModel::forward per
+// graph to 1e-9 relative tolerance across every model variant, graph-size
+// mix (1..500 vertices, k smaller than the graph, edge-free graphs) and
+// threading mode.
 
 #include <cmath>
 #include <cstddef>
@@ -16,11 +16,11 @@
 #include "magic/classifier.hpp"
 #include "magic/core_test_util.hpp"
 #include "magic/graph_batch.hpp"
-#include "magic/replica_pool.hpp"
 
 namespace magic::core {
 namespace {
 
+using testing::eval_forward_predictions;
 using testing::make_graph;
 using testing::separable_dataset;
 
@@ -103,28 +103,32 @@ void expect_match(const std::vector<Prediction>& got,
   }
 }
 
-class PackedEquivalence : public ::testing::TestWithParam<int> {
- protected:
-  static DgcnnConfig config_for(int variant) {
-    switch (variant) {
-      case 0: return sort_conv1d_config();
-      case 1: return sort_wv_config();
-      default: return amp_config();
-    }
+void expect_bitwise(const std::vector<Prediction>& got,
+                    const std::vector<Prediction>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].family_index, want[i].family_index) << what << " sample " << i;
+    EXPECT_EQ(got[i].probabilities, want[i].probabilities) << what << " sample " << i;
   }
-};
+}
+
+DgcnnConfig config_for(int variant) {
+  switch (variant) {
+    case 0: return sort_conv1d_config();
+    case 1: return sort_wv_config();
+    default: return amp_config();
+  }
+}
+
+class PackedEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(PackedEquivalence, PackedMatchesPerSampleAndPredict) {
-  const MagicClassifier clf = fitted(config_for(GetParam()), 60 + GetParam());
+  MagicClassifier clf = fitted(config_for(GetParam()), 60 + GetParam());
   const std::vector<acfg::Acfg> mix = size_mix(61);
-
-  PredictOptions per_sample;
-  per_sample.engine = PredictEngine::PerSample;
-  const std::vector<Prediction> baseline = clf.classify(mix, per_sample);
+  const std::vector<Prediction> baseline = eval_forward_predictions(clf, mix);
 
   // Every graph in one pack.
   PredictOptions packed;
-  packed.engine = PredictEngine::Packed;
   packed.max_pack_vertices = 100000;
   expect_match(clf.classify(mix, packed), baseline, "one big pack");
 
@@ -151,12 +155,6 @@ TEST_P(PackedEquivalence, ThreadedClassifyMatchesSerial) {
   PredictOptions threaded = serial;
   threaded.threads = 4;
   expect_match(clf.classify(mix, threaded), baseline, "4-thread packed");
-
-  threaded.engine = PredictEngine::PerSample;
-  PredictOptions serial_ps = serial;
-  serial_ps.engine = PredictEngine::PerSample;
-  expect_match(clf.classify(mix, threaded), clf.classify(mix, serial_ps),
-               "4-thread per-sample");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, PackedEquivalence,
@@ -169,49 +167,45 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, PackedEquivalence,
                            }
                          });
 
-// classify() is const and safe from many threads at once: every concurrent
-// call must reproduce the single-threaded verdicts exactly.
+// classify() is const and safe from many threads at once on every head
+// variant: with the same pack budget each concurrent call scores the same
+// packs, so it must reproduce the serial verdicts bit for bit.
 TEST(PackedEquivalence, ConcurrentClassifyIsThreadSafe) {
-  const MagicClassifier clf = fitted(sort_wv_config(), 80);
-  const std::vector<acfg::Acfg> mix = size_mix(81);
-  const std::vector<Prediction> baseline =
-      clf.classify(mix, PredictOptions{.engine = PredictEngine::PerSample});
+  for (int variant = 0; variant < 3; ++variant) {
+    const MagicClassifier clf =
+        fitted(config_for(variant), 80 + static_cast<std::uint64_t>(variant));
+    const std::vector<acfg::Acfg> mix = size_mix(81);
+    PredictOptions serial;
+    serial.max_pack_vertices = 96;
+    const std::vector<Prediction> baseline = clf.classify(mix, serial);
 
-  constexpr int kCallers = 4;
-  std::vector<std::vector<Prediction>> results(kCallers);
-  std::vector<std::thread> callers;
-  callers.reserve(kCallers);
-  for (int t = 0; t < kCallers; ++t) {
-    callers.emplace_back([&, t] {
-      PredictOptions opt;
-      opt.engine = t % 2 == 0 ? PredictEngine::Packed : PredictEngine::PerSample;
-      opt.threads = 1 + static_cast<std::size_t>(t % 2);
-      opt.max_pack_vertices = 96;
-      results[static_cast<std::size_t>(t)] = clf.classify(mix, opt);
-    });
+    constexpr int kCallers = 4;
+    std::vector<std::vector<Prediction>> results(kCallers);
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (int t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&, t] {
+        PredictOptions opt = serial;
+        opt.threads = 1 + static_cast<std::size_t>(t % 2);
+        results[static_cast<std::size_t>(t)] = clf.classify(mix, opt);
+      });
+    }
+    for (auto& caller : callers) caller.join();
+    for (int t = 0; t < kCallers; ++t) {
+      expect_bitwise(results[static_cast<std::size_t>(t)], baseline, "concurrent");
+    }
   }
-  for (auto& caller : callers) caller.join();
-  for (int t = 0; t < kCallers; ++t) {
-    expect_match(results[static_cast<std::size_t>(t)], baseline, "concurrent");
-  }
-}
-
-TEST(PackedEquivalence, PredictBatchWrapperMatchesClassify) {
-  const MagicClassifier clf = fitted(sort_conv1d_config(), 82);
-  const std::vector<acfg::Acfg> mix = size_mix(83);
-  util::ThreadPool pool(3);
-  expect_match(clf.predict_batch(mix, pool),
-               clf.classify(mix, PredictOptions{.engine = PredictEngine::PerSample}),
-               "predict_batch wrapper");
 }
 
 TEST(PackedEquivalence, PredictPackedMatchesClassify) {
   const MagicClassifier clf = fitted(sort_wv_config(), 84);
   const std::vector<acfg::Acfg> mix = size_mix(85);
   const GraphBatch batch = GraphBatch::pack(std::span<const acfg::Acfg>(mix));
-  expect_match(clf.predict_packed(batch),
-               clf.classify(mix, PredictOptions{.engine = PredictEngine::PerSample}),
-               "predict_packed");
+  nn::InferenceWorkspace workspace;
+  PredictOptions one_pack;
+  one_pack.max_pack_vertices = 100000;
+  expect_bitwise(clf.predict_packed(batch, workspace), clf.classify(mix, one_pack),
+                 "predict_packed");
 }
 
 // ---- Option and mode contracts -------------------------------------------
@@ -222,8 +216,6 @@ TEST(PackedEquivalence, ZeroPackBudgetThrowsForPackedEngineOnly) {
   PredictOptions bad;
   bad.max_pack_vertices = 0;
   EXPECT_THROW((void)clf.classify(mix, bad), std::invalid_argument);
-  bad.engine = PredictEngine::PerSample;  // budget is a packed-engine knob
-  EXPECT_NO_THROW((void)clf.classify(mix, bad));
 }
 
 TEST(PackedEquivalence, ClassifyEmptySpanReturnsEmpty) {
@@ -235,38 +227,26 @@ TEST(PackedEquivalence, ClassifyUnfittedThrows) {
   const MagicClassifier clf(sort_wv_config());
   util::Rng rng(89);
   const std::vector<acfg::Acfg> one{make_graph(0, 5, true, rng)};
+  nn::InferenceWorkspace workspace;
   EXPECT_THROW((void)clf.classify(one), std::logic_error);
   EXPECT_THROW((void)clf.predict_packed(
-                   GraphBatch::pack(std::span<const acfg::Acfg>(one))),
+                   GraphBatch::pack(std::span<const acfg::Acfg>(one)), workspace),
                std::logic_error);
 }
 
-// predict_batch on the raw model is inference-only: while gradient caching
-// is enabled there is no batched backward, so entering it must throw
-// instead of silently corrupting training state.
-TEST(PackedEquivalence, ModelPredictBatchRequiresEvalMode) {
-  MagicClassifier clf = fitted(sort_wv_config(), 90);
-  util::Rng rng(91);
-  const std::vector<acfg::Acfg> one{make_graph(0, 5, true, rng)};
-  const GraphBatch batch = GraphBatch::pack(std::span<const acfg::Acfg>(one));
-  clf.model()->set_training(true);
-  EXPECT_THROW((void)clf.model()->predict_batch(batch), std::logic_error);
-  clf.model()->set_training(false);
-  EXPECT_NO_THROW((void)clf.model()->predict_batch(batch));
-}
-
 TEST(PackedEquivalence, ModelPredictBatchRejectsChannelMismatch) {
-  MagicClassifier clf = fitted(sort_wv_config(), 92);
+  const MagicClassifier clf = fitted(sort_wv_config(), 92);
   acfg::Acfg narrow;
   narrow.out_edges.assign(3, {});
   narrow.attributes = tensor::Tensor({3, 2});  // model expects 11 channels
   const std::vector<acfg::Acfg> graphs{narrow};
   const GraphBatch batch = GraphBatch::pack(std::span<const acfg::Acfg>(graphs));
-  clf.model()->set_training(false);
-  EXPECT_THROW((void)clf.model()->predict_batch(batch), std::invalid_argument);
+  nn::InferenceWorkspace workspace;
+  EXPECT_THROW((void)clf.model()->predict_batch(batch, workspace),
+               std::invalid_argument);
 }
 
-// ---- Redesigned persistence + pool options surface ------------------------
+// ---- Persistence ----------------------------------------------------------
 
 TEST(PackedEquivalence, PathSaveLoadRoundTripPreservesClassify) {
   const MagicClassifier clf = fitted(sort_conv1d_config(), 93);
@@ -275,17 +255,6 @@ TEST(PackedEquivalence, PathSaveLoadRoundTripPreservesClassify) {
   const MagicClassifier restored = MagicClassifier::load(path);
   const std::vector<acfg::Acfg> mix = size_mix(94);
   expect_match(restored.classify(mix), clf.classify(mix), "path round trip");
-}
-
-TEST(PackedEquivalence, ReplicaPoolOptionsWarmsEagerly) {
-  const MagicClassifier clf = fitted(sort_wv_config(), 95);
-  const std::shared_ptr<ReplicaPool> pool =
-      clf.replica_pool(ReplicaPoolOptions{.warm_count = 2});
-  ASSERT_NE(pool, nullptr);
-  EXPECT_GE(pool->size(), 2u);
-  EXPECT_EQ(pool->leased(), 0u);
-  // The positional compatibility overload shares the same cached pool.
-  EXPECT_EQ(clf.replica_pool(1).get(), pool.get());
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ TEST(GradCache, LogSoftmaxGatesItsCache) {
 
 TEST(GradCache, GraphConvLayerGatesItsCache) {
   util::Rng rng(17);
-  GraphConvLayer layer(3, 4, Activation::Tanh, rng);
+  PaperGraphConv layer(3, 4, Activation::Tanh, rng);
   // 5-vertex self-loop graph: the propagation operator is the identity.
   SparseMatrix prop = SparseMatrix::propagation_operator({{}, {}, {}, {}, {}});
   const Tensor x = random_tensor({5, 3}, 18);

@@ -13,10 +13,21 @@ SparseMatrix chain_prop() {
   return SparseMatrix::propagation_operator({{1}, {2}, {0}});
 }
 
+/// A stack of the paper's Eq. 1 operator (the default GraphConvStackConfig
+/// operator) with the given widths and activation.
+nn::GraphConvStack paper_stack(std::size_t in, std::vector<std::size_t> channels,
+                               nn::Activation activation, util::Rng& rng) {
+  nn::GraphConvStackConfig config;
+  config.in_channels = in;
+  config.channels = std::move(channels);
+  config.activation = activation;
+  return nn::GraphConvStack(config, rng);
+}
+
 TEST(GraphConvLayer, ForwardMatchesDenseFormula) {
   // Z' = f(D^-1 A_hat Z W) with Identity activation equals the dense chain.
   util::Rng rng(1);
-  nn::GraphConvLayer layer(2, 3, nn::Activation::Identity, rng);
+  nn::PaperGraphConv layer(2, 3, nn::Activation::Identity, rng);
   SparseMatrix p = chain_prop();
   Tensor z = Tensor::from_rows({{1, 2}, {3, 4}, {5, 6}});
   Tensor expected = tensor::matmul(p.to_dense(), tensor::matmul(z, layer.weight().value));
@@ -25,7 +36,7 @@ TEST(GraphConvLayer, ForwardMatchesDenseFormula) {
 
 TEST(GraphConvLayer, ReluActivationClamps) {
   util::Rng rng(2);
-  nn::GraphConvLayer layer(1, 1, nn::Activation::ReLU, rng);
+  nn::PaperGraphConv layer(1, 1, nn::Activation::ReLU, rng);
   layer.weight().value = Tensor::from_rows({{-1.0}});
   SparseMatrix p = SparseMatrix::propagation_operator({{}});
   Tensor z = Tensor::from_rows({{2.0}});
@@ -40,7 +51,7 @@ TEST(GraphConvLayer, PaperEquationOneWorkedExample) {
   std::vector<std::vector<std::size_t>> adj = {{1, 2}, {3}, {3}, {4}, {}};
   SparseMatrix p = SparseMatrix::propagation_operator(adj);
   util::Rng rng(3);
-  nn::GraphConvLayer layer(2, 3, nn::Activation::ReLU, rng);
+  nn::PaperGraphConv layer(2, 3, nn::Activation::ReLU, rng);
   layer.weight().value = Tensor::from_rows({{1, 0, 1}, {0, 1, 0}});  // W1 of Fig. 3
   Tensor x = Tensor::from_rows({{2, 1}, {0, 3}, {1, 1}, {4, 0}, {1, 2}});
   Tensor out = layer.forward(p, x);
@@ -56,7 +67,7 @@ TEST(GraphConvLayer, PaperEquationOneWorkedExample) {
 
 TEST(GraphConvLayer, GradientsMatchNumericTanh) {
   util::Rng rng(4);
-  nn::GraphConvLayer layer(3, 2, nn::Activation::Tanh, rng);
+  nn::PaperGraphConv layer(3, 2, nn::Activation::Tanh, rng);
   SparseMatrix p = chain_prop();
   Tensor z = Tensor::uniform({3, 3}, rng, -1, 1);
 
@@ -90,20 +101,20 @@ TEST(GraphConvLayer, GradientsMatchNumericTanh) {
 
 TEST(GraphConvLayer, RejectsChannelMismatch) {
   util::Rng rng(5);
-  nn::GraphConvLayer layer(2, 2, nn::Activation::ReLU, rng);
+  nn::PaperGraphConv layer(2, 2, nn::Activation::ReLU, rng);
   SparseMatrix p = chain_prop();
   EXPECT_THROW(layer.forward(p, Tensor::zeros({3, 5})), std::invalid_argument);
 }
 
 TEST(GraphConvLayer, BackwardBeforeForwardThrows) {
   util::Rng rng(6);
-  nn::GraphConvLayer layer(2, 2, nn::Activation::ReLU, rng);
+  nn::PaperGraphConv layer(2, 2, nn::Activation::ReLU, rng);
   EXPECT_THROW(layer.backward(Tensor::zeros({3, 2})), std::logic_error);
 }
 
 TEST(GraphConvStack, ConcatHasAllLayerChannels) {
   util::Rng rng(7);
-  nn::GraphConvStack stack(11, {32, 16, 8}, nn::Activation::Tanh, rng);
+  nn::GraphConvStack stack = paper_stack(11, {32, 16, 8}, nn::Activation::Tanh, rng);
   EXPECT_EQ(stack.total_channels(), 56u);
   EXPECT_EQ(stack.depth(), 3u);
   SparseMatrix p = chain_prop();
@@ -115,7 +126,7 @@ TEST(GraphConvStack, ConcatHasAllLayerChannels) {
 
 TEST(GraphConvStack, GradientsMatchNumeric) {
   util::Rng rng(8);
-  nn::GraphConvStack stack(2, {3, 2}, nn::Activation::Tanh, rng);
+  nn::GraphConvStack stack = paper_stack(2, {3, 2}, nn::Activation::Tanh, rng);
   SparseMatrix p = chain_prop();
   Tensor x = Tensor::uniform({3, 2}, rng, -1, 1);
 
@@ -151,8 +162,7 @@ TEST(GraphConvStack, GradientsMatchNumeric) {
 
 TEST(GraphConvStack, RejectsEmptyChannels) {
   util::Rng rng(9);
-  EXPECT_THROW(nn::GraphConvStack(2, {}, nn::Activation::ReLU, rng),
-               std::invalid_argument);
+  EXPECT_THROW(paper_stack(2, {}, nn::Activation::ReLU, rng), std::invalid_argument);
 }
 
 TEST(GraphConvOps, FactoryBuildsEveryOperatorWithDistinctWeightNames) {
@@ -300,12 +310,6 @@ TEST(GraphConvStack, ConfigCtorCarriesOperator) {
   EXPECT_EQ(z.dim(1), 14u);
 }
 
-TEST(GraphConvStack, LegacyCtorIsPaperOperator) {
-  util::Rng rng(30);
-  nn::GraphConvStack stack(2, {3}, nn::Activation::ReLU, rng);
-  EXPECT_EQ(stack.op_kind(), nn::GraphConvOperator::Paper);
-}
-
 TEST(GraphConvStack, GradientsMatchNumericForSageAndTag) {
   for (auto kind : {nn::GraphConvOperator::Sage, nn::GraphConvOperator::Tag}) {
     util::Rng rng(31);
@@ -352,8 +356,9 @@ TEST(GraphConvStack, GradientsMatchNumericForSageAndTag) {
 }
 
 TEST(GraphConvStack, InferencePathBitIdenticalToTrainingPathPerOperator) {
-  // The fused forward_inference_into path must be bitwise equal to the
-  // training-mode forward for every zoo member (same kernels, same order).
+  // The const fused inference path must be bitwise equal to the
+  // training-mode forward for every zoo member (same kernels, same order),
+  // and so must the eval-mode forward; one workspace serves every call.
   for (auto kind : {nn::GraphConvOperator::Paper, nn::GraphConvOperator::Sage,
                     nn::GraphConvOperator::Tag}) {
     util::Rng rng(32);
@@ -366,11 +371,18 @@ TEST(GraphConvStack, InferencePathBitIdenticalToTrainingPathPerOperator) {
     SparseMatrix p = SparseMatrix::propagation_operator(adj);
     Tensor x = Tensor::uniform({5, 5}, rng, -1, 1);
     Tensor trained = stack.forward(p, x);
+    nn::InferenceWorkspace workspace;
+    (void)stack.forward_inference(chain_prop(), Tensor::uniform({3, 5}, rng, -1, 1),
+                                  workspace);  // warm the workspace on another shape
+    Tensor inferred = stack.forward_inference(p, x, workspace);
     stack.set_grad_enabled(false);
-    Tensor inferred = stack.forward(p, x);
+    Tensor evaluated = stack.forward(p, x);
     ASSERT_TRUE(trained.same_shape(inferred));
+    ASSERT_TRUE(trained.same_shape(evaluated));
     for (std::size_t i = 0; i < trained.size(); ++i) {
       EXPECT_EQ(trained[i], inferred[i])
+          << nn::graph_conv_operator_name(kind) << " at " << i;
+      EXPECT_EQ(trained[i], evaluated[i])
           << nn::graph_conv_operator_name(kind) << " at " << i;
     }
   }
@@ -450,7 +462,7 @@ TEST(GraphConvGolden, PaperOperatorBitIdenticalToPreRefactorStack) {
 
   // Both sides consume the same Rng stream in the same order.
   util::Rng stack_rng(97);
-  nn::GraphConvStack stack(in, channels, act, stack_rng);
+  nn::GraphConvStack stack = paper_stack(in, channels, act, stack_rng);
   util::Rng golden_rng(97);
   std::vector<GoldenLayer> golden;
   std::size_t prev = in;
@@ -502,7 +514,7 @@ TEST(GraphConvStack, IsolatedVerticesKeepOwnFeatures) {
   // With no edges, propagation is identity; one Identity-activation layer
   // reduces to Z W exactly.
   util::Rng rng(10);
-  nn::GraphConvStack stack(2, {2}, nn::Activation::Identity, rng);
+  nn::GraphConvStack stack = paper_stack(2, {2}, nn::Activation::Identity, rng);
   SparseMatrix p = SparseMatrix::propagation_operator({{}, {}, {}});
   Tensor x = Tensor::uniform({3, 2}, rng, -1, 1);
   Tensor expected = tensor::matmul(x, stack.parameters()[0]->value);

@@ -174,7 +174,7 @@ TEST_P(GraphConvSweep, GradientsMatchNumeric) {
   };
   const auto& graph = cases[static_cast<std::size_t>(which)];
   util::Rng rng(static_cast<std::uint64_t>(which * 83 + static_cast<int>(act)));
-  nn::GraphConvLayer layer(2, 3, act, rng);
+  nn::PaperGraphConv layer(2, 3, act, rng);
   tensor::SparseMatrix p = tensor::SparseMatrix::propagation_operator(graph.edges);
   // Shift inputs away from zero so ReLU kinks do not break the numeric
   // gradient comparison.

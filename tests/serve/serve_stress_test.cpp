@@ -1,8 +1,8 @@
 // Concurrency stress for magic::serve — the suite scripts/check.sh tsan is
 // pointed at. Every scenario here is about thread interleavings, not model
 // quality: many producers against a small queue, stop() racing active
-// producers, stats() readers during load, and predict_batch sharing the
-// replica pool with a live server.
+// producers, stats() readers during load, and classify() scoring on the
+// same model as a live server.
 
 #include <atomic>
 #include <chrono>
@@ -125,10 +125,8 @@ TEST(ServeStress, StatsReadersDuringLoad) {
   EXPECT_EQ(stats.submitted, 60u);
 }
 
-// The server leases worker replicas from the classifier's cached pool; a
-// concurrent predict_batch over the same classifier must lease disjoint
-// replicas (this is exactly the collision the checked-mode forward guard
-// exists to catch).
+// The server's workers and a concurrent multi-threaded classify() all score
+// on the one shared model: const inference must keep them race-free.
 TEST(ServeStress, PredictBatchConcurrentWithLiveServer) {
   core::MagicClassifier& clf = shared_classifier();
   ServeConfig config;
@@ -153,9 +151,11 @@ TEST(ServeStress, PredictBatchConcurrentWithLiveServer) {
     }
   });
 
-  util::ThreadPool pool(2);
+  core::PredictOptions options;
+  options.threads = 2;
+  options.max_pack_vertices = 24;  // several packs, so both threads score
   for (int round = 0; round < 5; ++round) {
-    const auto predictions = clf.predict_batch(batch, pool);
+    const auto predictions = clf.classify(batch, options);
     ASSERT_EQ(predictions.size(), batch.size());
   }
   go.store(false, std::memory_order_release);

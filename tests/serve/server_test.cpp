@@ -1,6 +1,10 @@
 #include "serve/server.hpp"
 
+#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,6 +148,9 @@ TEST(InferenceServer, FullQueueRejectsWithStatus) {
   EXPECT_EQ(ok + rejected, 12u);
   EXPECT_GE(rejected, 1u);  // capacity 2 < 12 while the worker was busy
   EXPECT_EQ(server.stats().rejected_full, rejected);
+  // max_batch 1 scores every request as a pack of one, which does not
+  // count as a packed batch.
+  EXPECT_EQ(server.stats().packed_batches, 0u);
 }
 
 TEST(InferenceServer, ExpiredDeadlineShedsLoad) {
@@ -254,23 +261,53 @@ TEST(InferenceServer, UnfittedModelThrowsAtConstruction) {
   EXPECT_THROW(InferenceServer(unfitted, quick_config()), std::logic_error);
 }
 
-TEST(InferenceServer, SharesReplicaPoolWithPredictBatch) {
-  core::MagicClassifier& clf = shared_classifier();
-  const auto pool_before = clf.replica_pool();
-  InferenceServer server(clf, quick_config());
-  EXPECT_EQ(clf.replica_pool().get(), pool_before.get());
-  // While the server leases its workers' replicas, predict_batch still
-  // works against the same pool (it leases additional replicas).
-  util::ThreadPool threads(2);
+// The server keeps a reference to its classifier, so a temporary one (which
+// dies at the end of the constructor call) must not compile.
+static_assert(std::is_constructible_v<InferenceServer, const core::MagicClassifier&>);
+static_assert(!std::is_constructible_v<InferenceServer, core::MagicClassifier>);
+static_assert(!std::is_constructible_v<InferenceServer, const core::MagicClassifier&&, ServeConfig>);
+
+// The server and direct classify() calls score on the one shared model at
+// the same time: every served verdict must equal the classify() verdict of
+// the same graph, while classify() keeps running on other threads.
+TEST(InferenceServer, ServesSameVerdictsAsConcurrentClassify) {
+  const core::MagicClassifier& clf = shared_classifier();
   std::vector<acfg::Acfg> batch;
-  batch.reserve(6);
-  for (int i = 0; i < 6; ++i) batch.push_back(small_graph(i % 2, 1000 + static_cast<std::uint64_t>(i)));
-  const auto direct = clf.predict_batch(batch, threads);
-  ASSERT_EQ(direct.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Verdict served = server.scan(batch[i]);
-    ASSERT_TRUE(served.ok());
-    EXPECT_EQ(served.prediction.family_index, direct[i].family_index);
+  batch.reserve(8);
+  for (int i = 0; i < 8; ++i) {
+    batch.push_back(small_graph(i % 2, 1000 + static_cast<std::uint64_t>(i)));
+  }
+  // Two graphs per pack, so classify() really runs on two threads.
+  const core::PredictOptions options{.threads = 2, .max_pack_vertices = 12};
+  const std::vector<core::Prediction> direct = clf.classify(batch, options);
+
+  InferenceServer server(clf, quick_config());
+  std::atomic<bool> go{true};
+  std::thread classifier_load([&] {
+    while (go.load(std::memory_order_acquire)) {
+      const auto again = clf.classify(batch, options);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(again[i].probabilities, direct[i].probabilities);
+      }
+    }
+  });
+  std::vector<PendingVerdict> handles;
+  for (int round = 0; round < 3; ++round) {
+    for (const acfg::Acfg& sample : batch) handles.push_back(server.submit(sample));
+  }
+  std::vector<Verdict> served;
+  for (PendingVerdict& handle : handles) served.push_back(handle.get());
+  go.store(false, std::memory_order_release);
+  classifier_load.join();
+
+  for (std::size_t h = 0; h < served.size(); ++h) {
+    const core::Prediction& want = direct[h % batch.size()];
+    ASSERT_TRUE(served[h].ok()) << to_string(served[h].status);
+    EXPECT_EQ(served[h].prediction.family_index, want.family_index);
+    for (std::size_t c = 0; c < want.probabilities.size(); ++c) {
+      EXPECT_NEAR(served[h].prediction.probabilities[c], want.probabilities[c],
+                  1e-9 * std::max(1.0, std::abs(want.probabilities[c])));
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // NEGATIVE case: re-acquiring a non-reentrant capability already held is a
 // self-deadlock; the analysis must reject it. This is the deadlock the
-// MAGIC_EXCLUDES(pool_->mutex_) annotation on ReplicaPool::Lease::release
-// guards against, reduced to a minimum.
+// MAGIC_EXCLUDES(mutex_) annotations (obs::HistogramCell::record, the
+// BoundedQueue entry points) guard against, reduced to a minimum.
 
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"

@@ -1,6 +1,6 @@
 // NEGATIVE case: calling a MAGIC_REQUIRES(mutex_) function without holding
-// the capability must be rejected. This is the ReplicaPool::Lease shape —
-// a private helper that assumes its caller locked — reduced to a minimum.
+// the capability must be rejected: a private helper that assumes its
+// caller locked, reduced to a minimum.
 
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"

@@ -4,8 +4,8 @@
 // VerdictSlot do all their locking in the header) without needing a full
 // library build.
 
-#include "magic/replica_pool.hpp"
 #include "obs/metrics.hpp"
+#include "serve/server.hpp"
 #include "serve/verdict.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/mutex.hpp"
