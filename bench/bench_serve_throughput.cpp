@@ -59,6 +59,7 @@
 #include "magic/classifier.hpp"
 #include "obs/metrics.hpp"
 #include "serve/daemon.hpp"
+#include "serve/scan_service.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "util/string_util.hpp"
@@ -234,13 +235,14 @@ ConnectionPoint run_connection_point(core::MagicClassifier& clf,
   config.max_batch = 8;
   config.batch_window = std::chrono::microseconds(2000);
   serve::InferenceServer server(clf, config);
+  serve::ServerScanService service(server);
   std::atomic<bool> stop{false};
   serve::DaemonOptions options;
   options.socket_path = "/tmp/bench_magicd_" + std::to_string(::getpid()) +
                         "_" + std::to_string(connections) + ".sock";
   options.handle_signals = false;
   options.external_stop = &stop;
-  std::thread daemon([&] { serve::run_unix_daemon(server, options); });
+  std::thread daemon([&] { serve::run_unix_daemon(service, options); });
 
   ConnectionPoint point;
   point.connections = connections;

@@ -46,6 +46,10 @@ express (they are project conventions, not C++ rules):
                      a caller-owned InferenceWorkspace, and a mutable member
                      would be per-call state hidden behind const (a data
                      race once several threads score on one model).
+  one-protocol       The magicd wire protocol has one copy, serve::Session:
+                     `case wire::Request::Kind::` labels appear only in
+                     src/serve/session.cpp. A request-kind switch anywhere
+                     else is a second protocol state machine.
 
 Exit status: 0 = clean, 1 = findings, 2 = usage/environment error.
 
@@ -72,6 +76,7 @@ ALL_RULES = (
     "header-standalone",
     "simd-intrinsics",
     "no-mutable-state",
+    "one-protocol",
 )
 
 # How many *effective* lines (code only — comments, blanks and preprocessor
@@ -96,6 +101,9 @@ SIMD_ALLOWED_PREFIX = "tensor/simd/"
 
 # Subtrees whose const inference path must not hide per-call state.
 CONST_INFERENCE_PREFIXES = ("nn/", "magic/")
+
+# The one place the wire protocol switches on request kinds.
+PROTOCOL_ALLOWED = {"serve/session.cpp"}
 
 
 class Finding:
@@ -380,6 +388,29 @@ def check_no_mutable_state(src: Path) -> list[Finding]:
     return findings
 
 
+def check_one_protocol(src: Path) -> list[Finding]:
+    """Request-kind case labels live only in serve::Session."""
+    findings = []
+    label = re.compile(r"\bcase\s+(?:\w+::)*Request::Kind::")
+    for path in iter_sources(src, (".cpp", ".hpp")):
+        rel = path.relative_to(src).as_posix()
+        if rel in PROTOCOL_ALLOWED:
+            continue
+        for i, raw in enumerate(path.read_text().splitlines()):
+            if label.search(strip_line_comment(raw)):
+                findings.append(
+                    Finding(
+                        "one-protocol",
+                        path,
+                        i + 1,
+                        "request-kind switch outside serve::Session "
+                        "(src/serve/session.cpp): run the stream through a "
+                        "Session instead of a second protocol copy",
+                    )
+                )
+    return findings
+
+
 def check_header_standalone(src: Path, cxx: str) -> list[Finding]:
     findings = []
     for path in iter_sources(src, (".hpp",)):
@@ -446,6 +477,8 @@ def main() -> int:
         findings += check_simd_intrinsics(src)
     if "no-mutable-state" in rules:
         findings += check_no_mutable_state(src)
+    if "one-protocol" in rules:
+        findings += check_one_protocol(src)
     if "header-standalone" in rules and not args.skip_headers:
         findings += check_header_standalone(src, args.cxx)
 

@@ -61,11 +61,10 @@ for i in 0 1 2; do
 done
 # Wait for the first three verdicts before sending the duplicate, so the
 # duplicate is a guaranteed verdict-cache hit rather than racing its
-# original through the miss path. Responses only flush when the protocol
-# loop reads a line, so '#' comment lines (ignored by the parser) pump it.
+# original through the miss path. Nothing is sent while waiting: stdio
+# mode writes each verdict as soon as it completes.
 for _ in $(seq 1 200); do
   [[ "$(grep -c '"id":"req' "${STDIO_OUT}" || true)" -ge 3 ]] && break
-  echo "# pump" >&3
   sleep 0.05
 done
 [[ "$(grep -c '"id":"req' "${STDIO_OUT}")" -ge 3 ]] \

@@ -28,17 +28,12 @@ std::string CacheStats::to_json() const {
 }
 
 VerdictCache::VerdictCache(CacheConfig config)
-    : config_(config), shards_(std::max<std::size_t>(1, config.shards)) {
+    : config_(config),
+      shards_(std::max<std::size_t>(1, config.shards)),
+      bytes_gauge_(obs::MetricsRegistry::global().gauge("cache.bytes")),
+      entries_gauge_(obs::MetricsRegistry::global().gauge("cache.entries")) {
   config_.shards = shards_.size();
   shard_budget_ = std::max<std::size_t>(1, config_.max_bytes / shards_.size());
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  global_.hits = &registry.counter("cache.hits");
-  global_.misses = &registry.counter("cache.misses");
-  global_.insertions = &registry.counter("cache.insertions");
-  global_.evictions = &registry.counter("cache.evictions");
-  global_.oversized = &registry.counter("cache.oversized");
-  global_.bytes = &registry.gauge("cache.bytes");
-  global_.entries = &registry.gauge("cache.entries");
 }
 
 std::optional<CachedVerdict> VerdictCache::get(const CacheKey& key) {
@@ -50,11 +45,11 @@ std::optional<CachedVerdict> VerdictCache::get(const CacheKey& key) {
       // Touch: move to the MRU end while the lock pins the iterator.
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       CachedVerdict copy = it->second->value;
-      bump(hits_, global_.hits);
+      hits_.add();
       return copy;
     }
   }
-  bump(misses_, global_.misses);
+  misses_.add();
   return std::nullopt;
 }
 
@@ -63,7 +58,7 @@ void VerdictCache::insert(const CacheKey& key, CachedVerdict value) {
   if (cost > shard_budget_) {
     // Would evict the whole shard and still not amortize: refuse rather
     // than letting one pathological entry wipe the working set.
-    bump(oversized_, global_.oversized);
+    oversized_.add();
     return;
   }
   Shard& shard = shard_for(key);
@@ -95,8 +90,8 @@ void VerdictCache::insert(const CacheKey& key, CachedVerdict value) {
     account(static_cast<std::int64_t>(shard.lru.size()) - entries_before,
             static_cast<std::int64_t>(shard.bytes) - bytes_before);
   }
-  bump(insertions_, global_.insertions);
-  for (std::uint64_t e = 0; e < evicted; ++e) bump(evictions_, global_.evictions);
+  insertions_.add();
+  if (evicted > 0) evictions_.add(evicted);
   publish_residency();
 }
 
@@ -120,9 +115,9 @@ void VerdictCache::account(std::int64_t entries, std::int64_t bytes) noexcept {
 
 void VerdictCache::publish_residency() const noexcept {
   if (!obs::enabled()) return;
-  global_.entries->set(
+  entries_gauge_.set(
       static_cast<double>(total_entries_.load(std::memory_order_relaxed)));
-  global_.bytes->set(static_cast<double>(total_bytes_.load(std::memory_order_relaxed)));
+  bytes_gauge_.set(static_cast<double>(total_bytes_.load(std::memory_order_relaxed)));
 }
 
 CacheStats VerdictCache::stats() const {

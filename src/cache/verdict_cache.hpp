@@ -28,10 +28,9 @@
 // (verdicts are per-model); servers own their cache instance, so a new
 // server over new weights starts cold by construction.
 //
-// Observability: hit/miss/insert/eviction/oversized counters are kept
-// per-cache (exact snapshot()) and mirrored into the process-wide
-// magic::obs registry under "cache.*" while obs::enabled(), following the
-// serve::StatsCollector discipline.
+// Observability: hit/miss/insert/eviction/oversized counters are
+// obs::MirroredCounter: exact per cache (snapshot()) and mirrored into the
+// process-wide magic::obs registry under "cache.*" while obs::enabled().
 
 #include <atomic>
 #include <cstddef>
@@ -155,11 +154,6 @@ class VerdictCache {
   /// (no-op while obs is disabled).
   void publish_residency() const noexcept;
 
-  static void bump(obs::Counter& local, obs::Counter* mirror) noexcept {
-    local.add();
-    if (obs::enabled()) mirror->add();
-  }
-
   CacheConfig config_;
   std::size_t shard_budget_ = 0;
   std::vector<Shard> shards_;
@@ -167,24 +161,14 @@ class VerdictCache {
   std::atomic<std::uint64_t> total_entries_{0};
   std::atomic<std::uint64_t> total_bytes_{0};
 
-  obs::Counter hits_;
-  obs::Counter misses_;
-  obs::Counter insertions_;
-  obs::Counter evictions_;
-  obs::Counter oversized_;
-
-  /// Cached handles into the process-wide registry ("cache.*" names);
-  /// only written while obs::enabled().
-  struct GlobalMirror {
-    obs::Counter* hits;
-    obs::Counter* misses;
-    obs::Counter* insertions;
-    obs::Counter* evictions;
-    obs::Counter* oversized;
-    obs::Gauge* bytes;
-    obs::Gauge* entries;
-  };
-  GlobalMirror global_;
+  obs::MirroredCounter hits_{"cache.hits"};
+  obs::MirroredCounter misses_{"cache.misses"};
+  obs::MirroredCounter insertions_{"cache.insertions"};
+  obs::MirroredCounter evictions_{"cache.evictions"};
+  obs::MirroredCounter oversized_{"cache.oversized"};
+  /// Process-wide residency gauges; only written while obs::enabled().
+  obs::Gauge& bytes_gauge_;
+  obs::Gauge& entries_gauge_;
 };
 
 }  // namespace magic::cache

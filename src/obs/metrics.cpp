@@ -39,6 +39,9 @@ void set_enabled(bool on) noexcept {
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
+MirroredCounter::MirroredCounter(std::string_view global_name)
+    : global_(MetricsRegistry::global().counter(global_name)) {}
+
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

@@ -34,9 +34,9 @@
 namespace magic::obs {
 
 /// Process-wide switch for the *tracing* layer (spans, phase timers and the
-/// serve-side global mirror). Metric handles themselves always work; this
-/// flag only gates the instrumentation that would otherwise read clocks on
-/// hot paths. Default: disabled.
+/// global twin of every MirroredCounter). Metric handles themselves always
+/// work; this flag only gates the instrumentation that would otherwise read
+/// clocks on hot paths. Default: disabled.
 void set_enabled(bool on) noexcept;
 bool enabled() noexcept;
 
@@ -53,6 +53,25 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
+};
+
+/// A component's own Counter plus its process-wide twin, the counter of the
+/// same name in MetricsRegistry::global(). The local value is always exact
+/// (one server's stats, one cache, one registry); the twin accumulates
+/// across instances and is bumped only while enabled().
+class MirroredCounter {
+ public:
+  explicit MirroredCounter(std::string_view global_name);
+
+  void add(std::uint64_t n = 1) noexcept {
+    local_.add(n);
+    if (enabled()) global_.add(n);
+  }
+  std::uint64_t value() const noexcept { return local_.value(); }
+
+ private:
+  Counter local_;
+  Counter& global_;
 };
 
 /// Last-written scalar (relaxed atomic double).

@@ -1,138 +1,23 @@
 #include "serve/daemon.hpp"
 
+#include <poll.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
-#include <deque>
 #include <functional>
-#include <istream>
-#include <ostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "serve/reactor.hpp"
 #include "serve/scan_service.hpp"
-#include "serve/wire.hpp"
+#include "serve/session.hpp"
 
 namespace magic::serve {
 namespace {
-
-/// One in-order response slot: either a pending verdict or an
-/// already-rendered line (parse errors, control replies, stats).
-struct ResponseEntry {
-  std::string id;
-  PendingVerdict pending;  // invalid when ready_line / is_stats is used
-  std::string ready_line;
-  bool is_stats = false;   // render the snapshot at flush time, so it
-                           // reflects the requests ordered before it
-};
-
-/// True for the documented no-response lines: blank or '#' comment.
-bool ignorable_line(std::string_view line) {
-  const std::size_t first = line.find_first_not_of(" \t\r");
-  return first == std::string_view::npos || line[first] == '#';
-}
-
-/// Blocking protocol loop of the stdio mode. `read_line` returns false at
-/// end of stream; `write_line_fn` emits one response line. (The socket
-/// daemon runs the same protocol event-driven — serve/reactor.cpp.)
-std::uint64_t serve_lines(const std::function<bool(std::string&)>& read_line,
-                          const std::function<void(std::string_view)>& write_line_fn,
-                          ScanService& service) {
-  // Bounds the number of outstanding responses per stream; beyond it the
-  // reader blocks on the oldest verdict (per-stream flow control on top of
-  // the server's global admission control).
-  constexpr std::size_t kMaxPending = 512;
-
-  std::uint64_t served = 0;
-  std::deque<ResponseEntry> pending;
-
-  auto flush_front = [&] {
-    ResponseEntry& front = pending.front();
-    if (front.pending.valid()) {
-      write_line_fn(wire::verdict_to_json(front.id, front.pending.get()));
-    } else if (front.is_stats) {
-      write_line_fn(service.stats_json());
-    } else {
-      write_line_fn(front.ready_line);
-    }
-    pending.pop_front();
-  };
-  auto flush_ready = [&] {
-    while (!pending.empty() &&
-           (!pending.front().pending.valid() || pending.front().pending.ready())) {
-      flush_front();
-    }
-  };
-
-  std::string line;
-  bool quit = false;
-  while (!quit && read_line(line)) {
-    ResponseEntry entry;
-    try {
-      const auto request = wire::parse_request_line(line);
-      if (!request) {
-        // The parser returns nullopt only for ignorable lines; anything
-        // else would be a silently dropped request, so answer it.
-        if (!ignorable_line(line)) {
-          Verdict verdict;
-          verdict.status = VerdictStatus::Error;
-          verdict.error = "unparseable request line";
-          entry.ready_line = wire::verdict_to_json("", verdict);
-          pending.push_back(std::move(entry));
-        }
-        flush_ready();
-        continue;
-      }
-      switch (request->kind) {
-        case wire::Request::Kind::Quit:
-          quit = true;
-          break;
-        case wire::Request::Kind::Stats:
-          entry.is_stats = true;
-          pending.push_back(std::move(entry));
-          break;
-        case wire::Request::Kind::Reload:
-        case wire::Request::Kind::Shadow:
-          // Inline on the stream thread: control is rare and may block
-          // anyway (a reload materializes a model). Never throws.
-          entry.ready_line = service.control(*request);
-          pending.push_back(std::move(entry));
-          break;
-        case wire::Request::Kind::Path: {
-          entry.id = request->id;
-          std::string listing;
-          if (!read_file_to_string(request->payload, listing)) {
-            Verdict verdict;
-            verdict.status = VerdictStatus::Error;
-            verdict.error = "cannot open " + request->payload;
-            entry.ready_line = wire::verdict_to_json(entry.id, verdict);
-          } else {
-            entry.pending = service.submit_listing(listing, request->version);
-            ++served;
-          }
-          pending.push_back(std::move(entry));
-          break;
-        }
-        case wire::Request::Kind::Base64:
-          entry.id = request->id;
-          entry.pending = service.submit_listing(request->payload, request->version);
-          ++served;
-          pending.push_back(std::move(entry));
-          break;
-      }
-    } catch (const std::exception& e) {
-      Verdict verdict;
-      verdict.status = VerdictStatus::Error;
-      verdict.error = e.what();
-      entry.ready_line = wire::verdict_to_json(entry.id, verdict);
-      pending.push_back(std::move(entry));
-    }
-    if (pending.size() >= kMaxPending) flush_front();  // blocks on oldest
-    flush_ready();
-  }
-  while (!pending.empty()) flush_front();  // blocking flush at end of stream
-  return served;
-}
 
 // ---------------------------------------------------------------------------
 // Signal plumbing: the handler may only touch a lock-free atomic flag.
@@ -143,22 +28,52 @@ void stop_signal_handler(int) { g_signal_stop.store(true, std::memory_order_rela
 
 }  // namespace
 
-std::uint64_t serve_stream(std::istream& in, std::ostream& out,
-                           ScanService& service) {
-  auto read_line = [&in](std::string& line) {
-    return static_cast<bool>(std::getline(in, line));
-  };
-  auto write = [&out](std::string_view line) {
-    out << line << '\n';
-    out.flush();
-  };
-  return serve_lines(read_line, write, service);
-}
-
-std::uint64_t serve_stream(std::istream& in, std::ostream& out,
-                           InferenceServer& server) {
-  ServerScanService service(server);
-  return serve_stream(in, out, service);
+std::uint64_t serve_stream(int in_fd, int out_fd, ScanService& service) {
+  auto hub = std::make_shared<WakeHub>();
+  Session::Hooks hooks;
+  // Path reads and extraction run inline: one stream has nothing to overlap.
+  hooks.execute = [](std::function<void()> task) { task(); };
+  hooks.wake = [hub] { hub->notify(0); };
+  hooks.render_stats = [&service] { return service.stats_json(); };
+  Session session(service, std::move(hooks));
+  std::uint64_t scans = 0;
+  std::string out;
+  std::size_t out_start = 0;
+  char buf[65536];
+  for (;;) {
+    scans += session.pump(out);
+    const bool writing = out_start < out.size();
+    if (session.done() && !writing) break;
+    // A negative fd is skipped by poll(2), hang-ups included. Input waits
+    // while output is unwritten, so a reader that stops reading stops the
+    // stream instead of growing `out`.
+    pollfd fds[3] = {{hub->fd(), POLLIN, 0},
+                     {session.reading() && !writing ? in_fd : -1, POLLIN, 0},
+                     {writing ? out_fd : -1, POLLOUT, 0}};
+    if (::poll(fds, 3, -1) < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error("magicd: poll: errno " + std::to_string(errno));
+    }
+    if (fds[0].revents != 0) hub->drain();
+    if (fds[2].revents != 0) {
+      const ssize_t n = ::write(out_fd, out.data() + out_start, out.size() - out_start);
+      if (n < 0 && errno != EINTR && errno != EAGAIN) break;  // the reader is gone
+      if (n > 0) out_start += static_cast<std::size_t>(n);
+      if (out_start == out.size()) {
+        out.clear();
+        out_start = 0;
+      }
+    }
+    if (fds[1].revents != 0) {
+      const ssize_t n = ::read(in_fd, buf, sizeof(buf));
+      if (n > 0) {
+        session.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+      } else if (n == 0 || (errno != EINTR && errno != EAGAIN)) {
+        session.end_input();
+      }
+    }
+  }
+  return scans;
 }
 
 std::uint64_t run_unix_daemon(ScanService& service, const DaemonOptions& options) {
@@ -183,11 +98,6 @@ std::uint64_t run_unix_daemon(ScanService& service, const DaemonOptions& options
            options.external_stop->load(std::memory_order_acquire);
   };
   return run_reactor(service, options, should_stop);
-}
-
-std::uint64_t run_unix_daemon(InferenceServer& server, const DaemonOptions& options) {
-  ServerScanService service(server);
-  return run_unix_daemon(service, options);
 }
 
 }  // namespace magic::serve

@@ -1,42 +1,51 @@
 #pragma once
-// magicd daemon loops: serve the wire protocol over stdio or a Unix domain
+// magicd front ends: serve the wire protocol over stdio or a Unix domain
 // socket.
 //
-// Both modes pipeline: requests are submitted to the backend ScanService as
-// they are read (so micro-batching sees real concurrency) while responses
-// are flushed in request order as they resolve. A stream ends at EOF or a
-// `quit` line, after which every outstanding verdict is flushed.
+// Both run serve::Session (serve/session.hpp), the one copy of the
+// protocol: framing, request kinds, ordered responses, the `reload`/
+// `shadow` sequence point and the per-stream backpressure cap (the
+// service's queue capacity). Both pipeline: requests are submitted to the
+// ScanService as they are parsed, so micro-batching sees real concurrency,
+// and each response is written as soon as it and every response before it
+// are ready. A stream ends at EOF or a `quit` line, after which every
+// outstanding response is still written.
+//
+// The stdio front end is a one-stream poll(2) loop over the input fd, the
+// output fd and a WakeHub eventfd (poll, unlike epoll, accepts a regular
+// file as stdin). It runs `path` reads and extraction inline and needs no
+// keepalive input: a completed verdict wakes the loop. It reads no input
+// while a response is unwritten, and a write error ends the stream, as a
+// dropped socket does.
 //
 // The socket daemon is a single epoll event loop (serve/reactor.hpp): one
-// thread owns every connection fd, extraction runs on a small worker pool,
-// and verdict completions wake the loop through an eventfd. It accepts any
-// number of concurrent connections and drains gracefully on SIGTERM/SIGINT:
-// stop accepting, flush in-flight verdicts, then drain the service.
+// thread owns every connection fd and its Session, extraction runs on a
+// small worker pool, and verdict completions wake the loop through the
+// same WakeHub. It accepts any number of concurrent connections and drains
+// gracefully on SIGTERM/SIGINT: stop accepting, flush in-flight verdicts,
+// then drain the service.
 //
-// Both loops are written against ScanService, so they serve a bare
-// InferenceServer and a versioned ModelRegistry identically; the
-// InferenceServer overloads below are the registry-less convenience
-// surface.
+// Both are written against ScanService, so they serve a versioned
+// ModelRegistry or a single InferenceServer (wrapped in ServerScanService)
+// identically.
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "serve/scan_service.hpp"
-#include "serve/server.hpp"
 
 namespace magic::serve {
 
-/// Serves one request stream (the stdio mode of magicd). Returns the
-/// number of scan requests submitted. Malformed lines produce an
-/// {"id":"","status":"error",...} response instead of killing the stream.
-std::uint64_t serve_stream(std::istream& in, std::ostream& out,
-                           ScanService& service);
-std::uint64_t serve_stream(std::istream& in, std::ostream& out,
-                           InferenceServer& server);
+/// Serves one request stream (the stdio mode of magicd): requests are read
+/// from `in_fd` until EOF or `quit`, responses are written to `out_fd`. The
+/// fds are neither closed nor switched to non-blocking mode. Returns the
+/// number of scan requests (`path`/`b64` lines) dispatched. Malformed lines
+/// produce an {"id":"","status":"error",...} response instead of killing
+/// the stream.
+std::uint64_t serve_stream(int in_fd, int out_fd, ScanService& service);
 
 /// Options for the socket daemon loop.
 struct DaemonOptions {
@@ -53,16 +62,13 @@ struct DaemonOptions {
   /// Worker threads for extraction and control commands (the event loop
   /// itself never extracts or scores). 0 = a small default.
   std::size_t io_workers = 0;
-  /// Per-connection flow control: past this many outstanding responses the
-  /// reactor stops reading the connection and resumes at half the limit.
-  std::size_t max_pending_per_connection = 512;
   /// A connection whose output buffer makes no write progress for this
   /// long is dropped (the peer stopped reading).
   std::chrono::milliseconds write_stall_timeout{30000};
   /// Max bytes consumed from one connection per readable pass (0 = no
   /// cap). Bounds how much raw input a fast pipelining writer can buffer
-  /// ahead of parsing — max_pending_per_connection only limits *parsed*
-  /// responses — and keeps one connection from monopolizing the loop;
+  /// ahead of parsing — the Session's backpressure cap only limits *parsed*
+  /// requests — and keeps one connection from monopolizing the loop;
   /// level-triggered epoll re-delivers the event for the remainder.
   std::size_t read_chunk_bytes = 256 * 1024;
   /// Test hook: when set and true, the event loop treats its next wakeup
@@ -79,9 +85,8 @@ struct DaemonOptions {
 /// Binds `options.socket_path` (replacing a *stale socket file* only — a
 /// path occupied by any other kind of file is refused), accepts connections
 /// until a stop signal, then drains and returns the total number of scan
-/// requests served. Throws std::runtime_error on socket setup failure or a
-/// fatal event-loop error.
+/// requests dispatched. Throws std::runtime_error on socket setup failure or
+/// a fatal event-loop error.
 std::uint64_t run_unix_daemon(ScanService& service, const DaemonOptions& options);
-std::uint64_t run_unix_daemon(InferenceServer& server, const DaemonOptions& options);
 
 }  // namespace magic::serve

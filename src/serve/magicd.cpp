@@ -26,6 +26,8 @@
 //                                           saves it to FILE and optionally
 //                                           writes demo listings to DIR.
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -298,7 +300,7 @@ int main(int argc, char** argv) {
     std::uint64_t served = 0;
     if (opt.socket_path.empty()) {
       std::cerr << "magicd: serving stdio (one request per line; 'quit' ends)\n";
-      served = serve::serve_stream(std::cin, std::cout, registry);
+      served = serve::serve_stream(STDIN_FILENO, STDOUT_FILENO, registry);
       registry.drain();
     } else {
       std::cerr << "magicd: listening on " << opt.socket_path << "\n";

@@ -12,21 +12,18 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "serve/scan_service.hpp"
+#include "serve/session.hpp"
 #include "serve/stats.hpp"
-#include "serve/wire.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
 
 namespace magic::serve {
@@ -83,83 +80,20 @@ void remove_socket_file(const std::string& path) noexcept {
   }
 }
 
-/// One in-order response slot on a connection's pending deque. `id` and
-/// `is_stats` are written by the loop before the entry is ever shared;
-/// `line` is written by exactly one producer (worker task or verdict
-/// completion hook) before the release-store on `ready`, and read by the
-/// loop after the acquire-load.
-struct Entry {
-  std::string id;
-  bool is_stats = false;
-  std::atomic<bool> ready{false};
-  std::string line;
-};
-
-/// Wake-up channel from worker / scoring threads into the event loop: a
-/// list of connection serials with flushable progress, plus an eventfd that
-/// makes epoll_wait return. Outlives the loop in a shared_ptr so late
-/// verdict completions (e.g. after a fatal-teardown) degrade to no-ops.
-class WakeHub {
- public:
-  explicit WakeHub(int event_fd) : event_fd_(event_fd) {}
-
-  void notify(std::uint64_t serial) MAGIC_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    if (closed_) return;
-    ready_.push_back(serial);
-    if (!signaled_) {
-      signaled_ = true;
-      const std::uint64_t one = 1;
-      // A full eventfd counter is unreachable with this coalescing; an
-      // EAGAIN here would still leave the serial queued for the next wake.
-      [[maybe_unused]] const ssize_t n = ::write(event_fd_, &one, sizeof(one));
-    }
-  }
-
-  /// Loop side: collect pending serials and re-arm.
-  std::vector<std::uint64_t> drain() MAGIC_EXCLUDES(mutex_) {
-    std::uint64_t counter = 0;
-    while (::read(event_fd_, &counter, sizeof(counter)) > 0) {
-    }
-    std::vector<std::uint64_t> out;
-    util::MutexLock lock(mutex_);
-    out.swap(ready_);
-    signaled_ = false;
-    return out;
-  }
-
-  /// Must be called before the loop closes event_fd_: notify() never
-  /// touches the fd again afterwards.
-  void close() MAGIC_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    closed_ = true;
-  }
-
- private:
-  const int event_fd_;
-  util::Mutex mutex_;
-  bool closed_ MAGIC_GUARDED_BY(mutex_) = false;
-  bool signaled_ MAGIC_GUARDED_BY(mutex_) = false;
-  std::vector<std::uint64_t> ready_ MAGIC_GUARDED_BY(mutex_);
-};
-
 struct Conn {
-  int fd = -1;
-  std::uint64_t serial = 0;
-  std::string in;          ///< received bytes not yet parsed into lines
-  std::size_t in_start = 0;
-  std::deque<std::shared_ptr<Entry>> pending;
+  Conn(int conn_fd, std::uint64_t conn_serial, ScanService& service,
+       Session::Hooks hooks)
+      : fd(conn_fd), serial(conn_serial), session(service, std::move(hooks)) {}
+
+  int fd;
+  std::uint64_t serial;
+  Session session;
   std::string out;         ///< rendered responses not yet written
   std::size_t out_start = 0;
   bool want_read = true;   ///< EPOLLIN registered
   bool want_write = false; ///< EPOLLOUT registered
-  bool saw_eof = false;
-  bool read_closed = false;  ///< EOF consumed, `quit` seen, or draining
-  bool dead = false;         ///< write error — drop silently
-  /// In-flight control command (reload/shadow): a per-connection sequence
-  /// point. Lines after it stay buffered until it resolves, so a pipelined
-  /// `reload` is guaranteed to apply to the scans that follow it.
-  std::shared_ptr<Entry> barrier;
+  bool saw_eof = false;    ///< EOF read, or the drain ended the input
+  bool dead = false;       ///< read/write error — drop silently
   /// Set while `out` is non-empty; pushed forward on every write progress.
   Clock::time_point stall_deadline{};
 };
@@ -207,7 +141,7 @@ class Reactor {
       throw std::runtime_error(fault);
     }
     graceful_drain();
-    return served_.load(std::memory_order_relaxed);
+    return stats_.requests;
   }
 
  private:
@@ -224,11 +158,9 @@ class Reactor {
     listen_fd_ = bind_unix_listener(options_.socket_path);
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) throw_errno("magicd: epoll_create1");
-    event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (event_fd_ < 0) throw_errno("magicd: eventfd");
-    hub_ = std::make_shared<WakeHub>(event_fd_);
+    hub_ = std::make_shared<WakeHub>();
     add_fd(listen_fd_, kListenerTag, EPOLLIN);
-    add_fd(event_fd_, kWakeTag, EPOLLIN);
+    add_fd(hub_->fd(), kWakeTag, EPOLLIN);
     events_.resize(256);
     std::size_t workers = options_.io_workers;
     if (workers == 0) workers = 4;
@@ -269,19 +201,15 @@ class Reactor {
       auto it = conns_.find(serial);
       if (it == conns_.end()) continue;  // closed earlier this batch
       Conn& conn = it->second;
-      if (ev.events & (EPOLLERR | EPOLLHUP)) {
-        if (conn.read_closed) {
-          // Peer fully gone and nothing more to read: any buffered output
-          // is undeliverable. Matches the old daemon dropping a vanished
-          // client on EPIPE.
-          close_conn(serial);
-          continue;
-        }
-        readable(conn);  // consume the EOF/reset through the read path
-        pump(serial);
+      if ((ev.events & (EPOLLERR | EPOLLHUP)) && conn.session.input_closed()) {
+        // Peer fully gone and nothing more to read: any buffered output
+        // is undeliverable. Matches the old daemon dropping a vanished
+        // client on EPIPE.
+        close_conn(serial);
         continue;
       }
-      if (ev.events & EPOLLIN) readable(conn);
+      // An error or hang-up is consumed through the read path (EOF/reset).
+      if (ev.events & (EPOLLIN | EPOLLERR | EPOLLHUP)) readable(conn);
       pump(serial);  // handles EPOLLOUT flushing too; may close the conn
     }
   }
@@ -313,10 +241,14 @@ class Reactor {
         break;  // EAGAIN: drained; anything else: try again next tick
       }
       const std::uint64_t serial = next_serial_++;
-      Conn conn;
-      conn.fd = fd;
-      conn.serial = serial;
-      auto [it, inserted] = conns_.emplace(serial, std::move(conn));
+      Session::Hooks hooks;
+      hooks.execute = [pool = pool_.get()](std::function<void()> task) {
+        pool->submit(std::move(task));
+      };
+      hooks.wake = [hub = hub_, serial] { hub->notify(serial); };
+      hooks.render_stats = [this] { return render_stats(); };
+      auto [it, inserted] =
+          conns_.try_emplace(serial, fd, serial, service_, std::move(hooks));
       try {
         add_fd(fd, serial, EPOLLIN);
       } catch (const std::exception&) {
@@ -346,26 +278,25 @@ class Reactor {
     add_fd(listen_fd_, kListenerTag, EPOLLIN);
   }
 
-  /// Consumes what the kernel has buffered for this connection (up to
-  /// EAGAIN, EOF, or `budget` bytes) into conn.in. The budget matters: the
-  /// max_pending backpressure only bounds *parsed* response entries, so an
-  /// uncapped recv loop would let a fast pipelining writer grow conn.in
-  /// arbitrarily (and hold the loop hostage) before the pause ever kicks
-  /// in. Stopping early is safe — the listener set is level-triggered, so
-  /// EPOLLIN re-fires and the remainder is read on a later pass, with
-  /// other connections serviced in between.
+  /// Feeds what the kernel has buffered for this connection (up to
+  /// EAGAIN, EOF, or `budget` bytes) into its Session. The budget bounds
+  /// the unparsed input a fast pipelining writer can pile up ahead of the
+  /// Session's backpressure and keeps one connection from monopolizing the
+  /// loop. Stopping early is safe: the set is level-triggered, so EPOLLIN
+  /// re-fires and the remainder is read on a later pass, with other
+  /// connections serviced in between.
   void read_available(Conn& conn, std::size_t budget) {
     char buf[65536];
     while (!conn.saw_eof && budget > 0) {
       const std::size_t want = std::min(budget, sizeof(buf));
       const ssize_t n = ::recv(conn.fd, buf, want, 0);
       if (n > 0) {
-        conn.in.append(buf, static_cast<std::size_t>(n));
+        conn.session.feed(std::string_view(buf, static_cast<std::size_t>(n)));
         budget -= static_cast<std::size_t>(n);
         continue;
       }
       if (n == 0) {
-        conn.saw_eof = true;
+        end_input(conn);
         break;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -379,161 +310,11 @@ class Reactor {
     read_available(conn, options_.read_chunk_bytes > 0
                              ? options_.read_chunk_bytes
                              : kUnboundedRead);
-    if (!conn.dead) process_input(conn);
   }
 
-  /// Parses complete lines out of conn.in (and, at EOF, a final
-  /// unterminated line — FdLineReader semantics) until the buffer is dry,
-  /// backpressure or an in-flight control command pauses the connection, or
-  /// the stream ends.
-  void process_input(Conn& conn) {
-    while (!conn.read_closed && !conn.dead) {
-      if (conn.barrier) {
-        if (conn.barrier->ready.load(std::memory_order_acquire)) {
-          conn.barrier.reset();
-        } else {
-          pause_read(conn);  // bound conn.in while the control executes
-          break;
-        }
-      }
-      if (conn.pending.size() >= options_.max_pending_per_connection) {
-        pause_read(conn);
-        break;
-      }
-      const std::size_t nl = conn.in.find('\n', conn.in_start);
-      std::string line;
-      if (nl != std::string::npos) {
-        line = conn.in.substr(conn.in_start, nl - conn.in_start);
-        conn.in_start = nl + 1;
-      } else if (conn.saw_eof && conn.in_start < conn.in.size()) {
-        line = conn.in.substr(conn.in_start);
-        conn.in_start = conn.in.size();
-      } else {
-        break;
-      }
-      handle_line(conn, line);
-    }
-    conn.in.erase(0, conn.in_start);
-    conn.in_start = 0;
-    if (conn.read_closed) {
-      conn.in.clear();  // `quit`: remaining input is never parsed
-      stop_reading(conn);
-    } else if (conn.saw_eof && conn.in.empty()) {
-      conn.read_closed = true;
-      stop_reading(conn);
-    }
-  }
-
-  void stop_reading(Conn& conn) {
-    if (!conn.want_read) return;
-    conn.want_read = false;
-    update_interest(conn);
-  }
-
-  void pause_read(Conn& conn) {
-    if (!conn.want_read || conn.read_closed) return;
-    conn.want_read = false;
-    update_interest(conn);
-    ++stats_.read_pauses;
-  }
-
-  void handle_line(Conn& conn, const std::string& line) {
-    auto entry = std::make_shared<Entry>();
-    try {
-      const auto request = wire::parse_request_line(line);
-      if (!request) return;  // blank / '#': the documented no-response lines
-      switch (request->kind) {
-        case wire::Request::Kind::Quit:
-          conn.read_closed = true;
-          return;
-        case wire::Request::Kind::Stats:
-          // Rendered at flush time (see flush_entries), so the payload
-          // reflects the requests ordered before it.
-          entry->is_stats = true;
-          entry->ready.store(true, std::memory_order_release);
-          conn.pending.push_back(std::move(entry));
-          return;
-        case wire::Request::Kind::Reload:
-        case wire::Request::Kind::Shadow:
-          conn.pending.push_back(entry);
-          conn.barrier = entry;
-          dispatch_control(conn.serial, std::move(entry), *request);
-          return;
-        case wire::Request::Kind::Path:
-        case wire::Request::Kind::Base64:
-          entry->id = request->id;
-          conn.pending.push_back(entry);
-          dispatch_scan(conn.serial, std::move(entry), std::move(*request));
-          ++stats_.requests;
-          return;
-      }
-    } catch (const std::exception& e) {
-      // Malformed request: exactly one error response, stream stays up.
-      Verdict verdict;
-      verdict.status = VerdictStatus::Error;
-      verdict.error = e.what();
-      entry->line = wire::verdict_to_json(entry->id, verdict);
-      entry->ready.store(true, std::memory_order_release);
-      conn.pending.push_back(std::move(entry));
-    }
-  }
-
-  /// Extraction + scoring off the loop: read the file (path requests),
-  /// submit to the service, and let the verdict's completion hook render
-  /// the response and wake the loop. The hook captures only the entry, the
-  /// hub and the verdict handle — never the reactor — so a late completion
-  /// after teardown is harmless.
-  void dispatch_scan(std::uint64_t serial, std::shared_ptr<Entry> entry,
-                     wire::Request request) {
-    auto hub = hub_;
-    ScanService& service = service_;
-    std::atomic<std::uint64_t>& served = served_;
-    pool_->submit([&service, &served, hub, serial, entry = std::move(entry),
-                   request = std::move(request)] {
-      auto finish_error = [&](const std::string& message) {
-        Verdict verdict;
-        verdict.status = VerdictStatus::Error;
-        verdict.error = message;
-        entry->line = wire::verdict_to_json(entry->id, verdict);
-        entry->ready.store(true, std::memory_order_release);
-        hub->notify(serial);
-      };
-      try {
-        std::string listing;
-        std::string_view view = request.payload;
-        if (request.kind == wire::Request::Kind::Path) {
-          if (!read_file_to_string(request.payload, listing)) {
-            finish_error("cannot open " + request.payload);
-            return;
-          }
-          view = listing;
-        }
-        const PendingVerdict verdict =
-            service.submit_listing(view, request.version);
-        served.fetch_add(1, std::memory_order_relaxed);
-        verdict.on_ready([entry, hub, serial, verdict] {
-          entry->line = wire::verdict_to_json(entry->id, verdict.get());
-          entry->ready.store(true, std::memory_order_release);
-          hub->notify(serial);
-        });
-      } catch (const std::exception& e) {
-        finish_error(e.what());
-      }
-    });
-  }
-
-  /// Control commands may block (a reload materializes a model), so they
-  /// run on the worker pool too; ScanService::control never throws.
-  void dispatch_control(std::uint64_t serial, std::shared_ptr<Entry> entry,
-                        wire::Request request) {
-    auto hub = hub_;
-    ScanService& service = service_;
-    pool_->submit([&service, hub, serial, entry = std::move(entry),
-                   request = std::move(request)] {
-      entry->line = service.control(request);
-      entry->ready.store(true, std::memory_order_release);
-      hub->notify(serial);
-    });
+  static void end_input(Conn& conn) {
+    conn.saw_eof = true;
+    conn.session.end_input();
   }
 
   std::string render_stats() {
@@ -542,17 +323,6 @@ class Reactor {
     // Splice the reactor block into the service's stats object.
     payload.insert(payload.size() - 1, ",\"reactor\":" + stats_.to_json());
     return payload;
-  }
-
-  /// Moves ready front entries into the output buffer (order preserved).
-  void flush_entries(Conn& conn) {
-    while (!conn.pending.empty()) {
-      Entry& front = *conn.pending.front();
-      if (!front.ready.load(std::memory_order_acquire)) break;
-      conn.out += front.is_stats ? render_stats() : front.line;
-      conn.out += '\n';
-      conn.pending.pop_front();
-    }
   }
 
   void try_write(Conn& conn) {
@@ -585,46 +355,33 @@ class Reactor {
     }
   }
 
-  /// Per-connection driver: flush ready responses, write, resume paused
-  /// reads once the deque shrinks, close when the stream is complete.
+  /// Per-connection step: let the Session parse and flush, write, then
+  /// match the epoll interest to what the Session wants; close the
+  /// connection once its stream is complete.
   void pump(std::uint64_t serial) {
     auto it = conns_.find(serial);
     if (it == conns_.end()) return;
     Conn& conn = it->second;
-    while (!conn.dead) {
-      flush_entries(conn);
+    if (!conn.dead) {
+      stats_.requests += conn.session.pump(conn.out);
       try_write(conn);
-      if (conn.dead) break;
-      if (conn.read_closed && conn.pending.empty() && conn.out.empty()) {
-        close_conn(serial);  // stream fully served
-        return;
-      }
-      // Resume only once any control barrier has resolved (checking ready,
-      // not presence — the barrier pointer is cleared inside process_input):
-      // re-enabling reads under an unresolved barrier would pause again
-      // immediately and spin this loop, with two epoll_ctl calls per lap,
-      // for the whole duration of a blocking reload. The barrier's
-      // completion hook wakes the loop, which re-enters here.
-      if (!conn.want_read && !conn.read_closed &&
-          (!conn.barrier ||
-           conn.barrier->ready.load(std::memory_order_acquire)) &&
-          conn.pending.size() <= options_.max_pending_per_connection / 2) {
-        conn.want_read = true;
-        update_interest(conn);
-        process_input(conn);  // lines buffered while paused
-        continue;             // they may have produced flushable entries
-      }
-      break;
     }
-    if (conn.dead) {
+    if (conn.dead || (conn.session.done() && conn.out.empty())) {
       close_conn(serial);
       return;
     }
+    const bool want_read = conn.session.reading();
     const bool want_write = !conn.out.empty();
-    if (want_write != conn.want_write) {
-      conn.want_write = want_write;
-      update_interest(conn);
+    if (want_read == conn.want_read && want_write == conn.want_write) return;
+    // Backpressure or a `reload`/`shadow` barrier pauses reads; the wake
+    // that lifts the pause re-enters here.
+    if (conn.want_read && !want_read && !conn.saw_eof &&
+        !conn.session.input_closed()) {
+      ++stats_.read_pauses;
     }
+    conn.want_read = want_read;
+    conn.want_write = want_write;
+    update_interest(conn);
   }
 
   void close_conn(std::uint64_t serial) {
@@ -669,7 +426,7 @@ class Reactor {
     serials.reserve(conns_.size());
     for (auto& [serial, conn] : conns_) {
       serials.push_back(serial);
-      if (!conn.read_closed && !conn.dead) {
+      if (!conn.saw_eof && !conn.dead && !conn.session.input_closed()) {
         // Requests the client already sent sit in the kernel receive queue
         // if the stop signal beat their EPOLLIN dispatch; consume them —
         // closing an fd with unread data resets the peer mid-read, and the
@@ -677,18 +434,11 @@ class Reactor {
         // Unbudgeted: after this pass reads are off for good, so anything
         // left unread here would be lost.
         read_available(conn, kUnboundedRead);
-        if (!conn.dead) {
-          conn.saw_eof = true;  // treat the drain as end-of-stream
-          process_input(conn);
-        }
       }
-      // Lines still parked behind an in-flight control barrier are parsed
-      // when it resolves (saw_eof is set, so read_closed follows then);
-      // everything else is closed for reading now.
-      if (conn.in.empty() || conn.dead) {
-        conn.read_closed = true;
-      }
-      stop_reading(conn);
+      // The drain ends every stream's input. Lines the Session still holds
+      // back (backpressure, an in-flight `reload`) are parsed as wakes
+      // lift the pause; pump() turns reads off for good.
+      if (!conn.saw_eof) end_input(conn);
     }
     for (const std::uint64_t serial : serials) pump(serial);
 
@@ -712,7 +462,6 @@ class Reactor {
       expire_stalled();
     }
     while (!conns_.empty()) close_conn(conns_.begin()->first);
-    hub_->close();
     pool_.reset();     // join extraction workers (late wakes are no-ops)
     service_.drain();  // resolve everything still queued
     release_fds();
@@ -723,7 +472,6 @@ class Reactor {
   /// the workers, leave the service running — its owner decides its fate.
   void fatal_teardown() {
     while (!conns_.empty()) close_conn(conns_.begin()->first);
-    hub_->close();
     pool_.reset();
     release_fds();
     remove_socket_file(options_.socket_path);
@@ -732,11 +480,9 @@ class Reactor {
   void release_fds() {
     for (auto& [serial, conn] : conns_) ::close(conn.fd);
     conns_.clear();
-    if (hub_) hub_->close();
     if (listen_fd_ >= 0) ::close(listen_fd_);
-    if (event_fd_ >= 0) ::close(event_fd_);
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    listen_fd_ = event_fd_ = epoll_fd_ = -1;
+    listen_fd_ = epoll_fd_ = -1;
   }
 
   ScanService& service_;
@@ -745,21 +491,49 @@ class Reactor {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int event_fd_ = -1;
   bool listener_parked_ = false;  ///< deregistered after fd exhaustion
   Clock::time_point listener_resume_{};
   std::shared_ptr<WakeHub> hub_;
   std::vector<epoll_event> events_;
   std::unordered_map<std::uint64_t, Conn> conns_;
   std::uint64_t next_serial_ = kWakeTag + 1;
-  std::atomic<std::uint64_t> served_{0};
   ReactorStats stats_;
-  /// Declared last: tasks reference the members above, so the pool must
-  /// join before any of them die (run() also joins explicitly).
+  /// Runs every Session's path reads, extraction and control commands.
+  /// Its tasks hold only the service, their slot and the hub, never the
+  /// reactor; the drain joins it before draining the service.
   std::unique_ptr<util::ThreadPool> pool_;
 };
 
 }  // namespace
+
+WakeHub::WakeHub() : event_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  if (event_fd_ < 0) throw_errno("magicd: eventfd");
+}
+
+WakeHub::~WakeHub() { ::close(event_fd_); }
+
+void WakeHub::notify(std::uint64_t serial) {
+  util::MutexLock lock(mutex_);
+  ready_.push_back(serial);
+  if (!signaled_) {
+    signaled_ = true;
+    const std::uint64_t one = 1;
+    // A full eventfd counter is unreachable with this coalescing; an
+    // EAGAIN here would still leave the serial queued for the next wake.
+    [[maybe_unused]] const ssize_t n = ::write(event_fd_, &one, sizeof(one));
+  }
+}
+
+std::vector<std::uint64_t> WakeHub::drain() {
+  std::uint64_t counter = 0;
+  while (::read(event_fd_, &counter, sizeof(counter)) > 0) {
+  }
+  std::vector<std::uint64_t> out;
+  util::MutexLock lock(mutex_);
+  out.swap(ready_);
+  signaled_ = false;
+  return out;
+}
 
 std::uint64_t run_reactor(ScanService& service, const DaemonOptions& options,
                           const std::function<bool()>& should_stop) {

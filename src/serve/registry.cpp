@@ -42,13 +42,6 @@ ModelRegistry::ModelRegistry(std::string name,
                              std::unique_ptr<core::MagicClassifier> model,
                              ServeConfig config)
     : config_(config) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  global_mirrored_ = &registry.counter("registry.shadow_mirrored");
-  global_agreed_ = &registry.counter("registry.shadow_agreed");
-  global_disagreed_ = &registry.counter("registry.shadow_disagreed");
-  global_failed_ = &registry.counter("registry.shadow_failed");
-  global_reloads_ = &registry.counter("registry.reloads");
-
   auto version = make_version(std::move(name), std::move(model));
   util::MutexLock lock(mutex_);
   versions_[version->name] = version;
@@ -84,9 +77,8 @@ void ModelRegistry::load_version(const std::string& name,
     }
     versions_[name] = version;
     if (make_default) default_ = std::move(version);
-    ++reloads_;
+    reloads_.add();
   }
-  if (obs::enabled()) global_reloads_->add();
   // `replaced` is deliberately NOT stopped here: a scan that resolved its
   // target just before the swap may still be extracting and submit after
   // it; stopping now would resolve that request ShuttingDown — a dropped
@@ -121,15 +113,10 @@ void ModelRegistry::score_shadow_pair(const Verdict& primary,
                                       const Verdict& shadow) {
   if (!primary.ok() || !shadow.ok()) {
     shadow_failed_.add();
-    if (obs::enabled()) global_failed_->add();
-    return;
-  }
-  if (verdicts_agree(primary, shadow)) {
+  } else if (verdicts_agree(primary, shadow)) {
     shadow_agreed_.add();
-    if (obs::enabled()) global_agreed_->add();
   } else {
     shadow_disagreed_.add();
-    if (obs::enabled()) global_disagreed_->add();
   }
 }
 
@@ -168,7 +155,6 @@ PendingVerdict ModelRegistry::submit_listing(std::string_view listing,
   const PendingVerdict primary = target->server->submit_listing(listing);
   if (mirror) {
     shadow_mirrored_.add();
-    if (obs::enabled()) global_mirrored_->add();
     const PendingVerdict shadowed = mirror->server->submit_listing(listing);
     // Join the pair through completion hooks — no joiner thread. The hooks
     // keep both slots (and the registry's counters; the registry drains all
@@ -198,7 +184,7 @@ RegistryStats ModelRegistry::registry_stats() const {
       out.operators.push_back(nn::graph_conv_operator_name(
           version->model->config().graph_conv_op));
     }
-    out.reloads = reloads_;
+    out.reloads = reloads_.value();
     out.shadow_version = shadow_ ? shadow_->name : "";
     out.shadow_fraction = shadow_ ? shadow_fraction_ : 0.0;
   }

@@ -98,6 +98,7 @@ class ModelRegistry final : public ScanService {
   /// Executes Reload / Shadow; never throws — failures render as
   /// {"status":"error",...} lines.
   std::string control(const wire::Request& request) override;
+  std::size_t queue_capacity() const override { return config_.queue_capacity; }
   void drain() override;
 
  private:
@@ -123,20 +124,16 @@ class ModelRegistry final : public ScanService {
   double shadow_fraction_ MAGIC_GUARDED_BY(mutex_) = 0.0;
   /// Scan sequence number behind the deterministic mirror decision.
   std::uint64_t scan_serial_ MAGIC_GUARDED_BY(mutex_) = 0;
-  std::uint64_t reloads_ MAGIC_GUARDED_BY(mutex_) = 0;
+  /// Bumped and read under mutex_, so a stats snapshot pairs it with the
+  /// version set it describes.
+  obs::MirroredCounter reloads_{"registry.reloads"};
 
   /// Shadow agreement counters: bumped from verdict completion hooks on
-  /// scoring threads, so they are obs::Counter (relaxed atomics), mirrored
-  /// into the global registry while obs::enabled().
-  obs::Counter shadow_mirrored_;
-  obs::Counter shadow_agreed_;
-  obs::Counter shadow_disagreed_;
-  obs::Counter shadow_failed_;
-  obs::Counter* global_mirrored_;
-  obs::Counter* global_agreed_;
-  obs::Counter* global_disagreed_;
-  obs::Counter* global_failed_;
-  obs::Counter* global_reloads_;
+  /// scoring threads.
+  obs::MirroredCounter shadow_mirrored_{"registry.shadow_mirrored"};
+  obs::MirroredCounter shadow_agreed_{"registry.shadow_agreed"};
+  obs::MirroredCounter shadow_disagreed_{"registry.shadow_disagreed"};
+  obs::MirroredCounter shadow_failed_{"registry.shadow_failed"};
 };
 
 }  // namespace magic::serve

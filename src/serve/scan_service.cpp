@@ -1,8 +1,5 @@
 #include "serve/scan_service.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "obs/metrics.hpp"
 #include "tensor/simd/dispatch.hpp"
 
@@ -16,15 +13,6 @@ std::string stats_payload_suffix() {
 
 std::string control_error_line(const std::string& message) {
   return "{\"status\":\"error\",\"error\":\"" + wire::json_escape(message) + "\"}";
-}
-
-bool read_file_to_string(const std::string& path, std::string& out) {
-  std::ifstream file(path);
-  if (!file) return false;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  out = buffer.str();
-  return true;
 }
 
 PendingVerdict ServerScanService::submit_listing(std::string_view listing,

@@ -1,16 +1,18 @@
 #pragma once
-// ScanService: what a magicd front-end (the epoll reactor, the stdio
-// protocol loop) needs from the scoring backend, abstracted so the same
-// connection machinery serves either a single InferenceServer or a full
-// versioned ModelRegistry.
+// ScanService: what the magicd wire protocol (serve::Session, run by both
+// front ends: the epoll reactor and the stdio loop) needs from the scoring
+// backend, abstracted so the same protocol serves either a single
+// InferenceServer (ServerScanService) or a full versioned ModelRegistry.
 //
-// The front-ends only ever (a) submit scan requests, (b) render a stats
-// payload, (c) forward control commands (`reload`, `shadow`) and (d) drain
-// on shutdown. Keeping the surface this small is what lets the registry be
-// hot-swapped underneath live connections: a front-end never holds a model
-// or server pointer, only PendingVerdict handles, which stay valid across
-// any number of version swaps.
+// A Session only ever (a) submits scan requests, (b) renders a stats
+// payload, (c) forwards control commands (`reload`, `shadow`) and (d) reads
+// the queue capacity that caps its owed responses; the front end (e) drains
+// the service on shutdown. Keeping the surface this small is what lets the
+// registry be hot-swapped underneath live connections: a front end never
+// holds a model or server pointer, only PendingVerdict handles, which stay
+// valid across any number of version swaps.
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -42,15 +44,19 @@ class ScanService {
   /// single-line JSON response. May block (a reload materializes a model).
   virtual std::string control(const wire::Request& request) = 0;
 
+  /// Capacity of the bounded queue behind submit_listing. A Session keeps
+  /// at most this many responses owed per stream, so a stream alone never
+  /// overflows the queue with its own requests.
+  virtual std::size_t queue_capacity() const = 0;
+
   /// Graceful shutdown: stop admission and score everything in flight.
   /// Every outstanding PendingVerdict is resolved before this returns.
   virtual void drain() = 0;
 };
 
-/// ScanService over one InferenceServer — the registry-less daemon (and the
-/// compatibility surface for `run_unix_daemon(InferenceServer&, ...)`).
-/// Version overrides and control commands report errors: there is only one
-/// model and it cannot change.
+/// ScanService over one InferenceServer — the registry-less daemon. Version
+/// overrides and control commands report errors: there is only one model
+/// and it cannot change.
 class ServerScanService final : public ScanService {
  public:
   explicit ServerScanService(InferenceServer& server) : server_(server) {}
@@ -59,6 +65,9 @@ class ServerScanService final : public ScanService {
                                 const std::string& version) override;
   std::string stats_json() override;
   std::string control(const wire::Request& request) override;
+  std::size_t queue_capacity() const override {
+    return server_.config().queue_capacity;
+  }
   void drain() override { server_.stop(/*drain=*/true); }
 
  private:
@@ -73,9 +82,5 @@ std::string stats_payload_suffix();
 
 /// Renders a control-command error as a single-line JSON response.
 std::string control_error_line(const std::string& message);
-
-/// Reads a whole file into `out`; false (with `out` untouched) when the
-/// file cannot be opened. Shared by the protocol loops' `path` requests.
-bool read_file_to_string(const std::string& path, std::string& out);
 
 }  // namespace magic::serve

@@ -49,21 +49,11 @@ std::string ReactorStats::to_json() const {
 }
 
 StatsCollector::StatsCollector(std::size_t max_batch)
-    : batch_size_counts_(max_batch + 1, 0) {
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  global_.submitted = &registry.counter("serve.submitted");
-  global_.completed = &registry.counter("serve.completed");
-  global_.rejected_full = &registry.counter("serve.rejected_full");
-  global_.rejected_shutdown = &registry.counter("serve.rejected_shutdown");
-  global_.expired = &registry.counter("serve.expired");
-  global_.failed = &registry.counter("serve.failed");
-  global_.batches = &registry.counter("serve.batches");
-  global_.packed_batches = &registry.counter("serve.packed_batches");
-  global_.latency_ms = &registry.histogram("serve.latency_ms");
-}
+    : global_latency_ms_(obs::MetricsRegistry::global().histogram("serve.latency_ms")),
+      batch_size_counts_(max_batch + 1, 0) {}
 
 void StatsCollector::on_batch(std::size_t batch_size) {
-  bump(batches_, global_.batches);
+  batches_.add();
   util::MutexLock lock(batch_mutex_);
   if (batch_size >= batch_size_counts_.size()) {
     batch_size_counts_.resize(batch_size + 1, 0);
@@ -72,9 +62,9 @@ void StatsCollector::on_batch(std::size_t batch_size) {
 }
 
 void StatsCollector::on_completed(double latency_ms) {
-  bump(completed_, global_.completed);
+  completed_.add();
   latency_ms_.record(latency_ms);
-  if (obs::enabled()) global_.latency_ms->record(latency_ms);
+  if (obs::enabled()) global_latency_ms_.record(latency_ms);
 }
 
 ServerStats StatsCollector::snapshot(std::size_t queue_depth,

@@ -4,13 +4,12 @@
 // wire command and the throughput bench both read it).
 //
 // The collector is built on the magic::obs primitives: counters are
-// obs::Counter (relaxed atomics), the latency distribution is an
-// obs::HistogramCell. Each InferenceServer keeps its own instances so its
-// snapshot() is exact per-server; while obs::enabled() every event is
-// additionally mirrored into the process-wide MetricsRegistry under
-// "serve.*" (counters accumulate across servers there), which is what puts
-// serve latency quantiles into MetricsRegistry::snapshot_json() for
-// `magicd stats` and `--metrics-out`.
+// obs::MirroredCounter, the latency distribution is an obs::HistogramCell.
+// Each InferenceServer keeps its own instances so its snapshot() is exact
+// per-server; while obs::enabled() every event is additionally recorded in
+// the process-wide MetricsRegistry under "serve.*" (counters accumulate
+// across servers there), which is what puts serve latency quantiles into
+// MetricsRegistry::snapshot_json() for `magicd stats` and `--metrics-out`.
 
 #include <cstddef>
 #include <cstdint>
@@ -85,50 +84,31 @@ class StatsCollector {
  public:
   explicit StatsCollector(std::size_t max_batch);
 
-  void on_submitted() noexcept { bump(submitted_, global_.submitted); }
-  void on_rejected_full() noexcept { bump(rejected_full_, global_.rejected_full); }
-  void on_rejected_shutdown() noexcept {
-    bump(rejected_shutdown_, global_.rejected_shutdown);
-  }
-  void on_expired() noexcept { bump(expired_, global_.expired); }
-  void on_failed() noexcept { bump(failed_, global_.failed); }
+  void on_submitted() noexcept { submitted_.add(); }
+  void on_rejected_full() noexcept { rejected_full_.add(); }
+  void on_rejected_shutdown() noexcept { rejected_shutdown_.add(); }
+  void on_expired() noexcept { expired_.add(); }
+  void on_failed() noexcept { failed_.add(); }
 
   void on_batch(std::size_t batch_size) MAGIC_EXCLUDES(batch_mutex_);
-  void on_packed_batch() noexcept { bump(packed_batches_, global_.packed_batches); }
+  void on_packed_batch() noexcept { packed_batches_.add(); }
   void on_completed(double latency_ms);
 
   ServerStats snapshot(std::size_t queue_depth, std::size_t workers) const
       MAGIC_EXCLUDES(batch_mutex_);
 
  private:
-  /// Cached handles into the process-wide registry ("serve.*" names);
-  /// only written while obs::enabled().
-  struct GlobalMirror {
-    obs::Counter* submitted;
-    obs::Counter* completed;
-    obs::Counter* rejected_full;
-    obs::Counter* rejected_shutdown;
-    obs::Counter* expired;
-    obs::Counter* failed;
-    obs::Counter* batches;
-    obs::Counter* packed_batches;
-    obs::HistogramCell* latency_ms;
-  };
-
-  static void bump(obs::Counter& local, obs::Counter* mirror) noexcept {
-    local.add();
-    if (obs::enabled()) mirror->add();
-  }
-
-  obs::Counter submitted_;
-  obs::Counter completed_;
-  obs::Counter rejected_full_;
-  obs::Counter rejected_shutdown_;
-  obs::Counter expired_;
-  obs::Counter failed_;
-  obs::Counter batches_;
-  obs::Counter packed_batches_;
+  obs::MirroredCounter submitted_{"serve.submitted"};
+  obs::MirroredCounter completed_{"serve.completed"};
+  obs::MirroredCounter rejected_full_{"serve.rejected_full"};
+  obs::MirroredCounter rejected_shutdown_{"serve.rejected_shutdown"};
+  obs::MirroredCounter expired_{"serve.expired"};
+  obs::MirroredCounter failed_{"serve.failed"};
+  obs::MirroredCounter batches_{"serve.batches"};
+  obs::MirroredCounter packed_batches_{"serve.packed_batches"};
   obs::HistogramCell latency_ms_;
+  /// Process-wide twin of latency_ms_, recorded only while obs::enabled().
+  obs::HistogramCell& global_latency_ms_;
 
   /// Guards the one piece of non-atomic state: the batch-size table (it
   /// resizes, so it cannot be a fixed array of counters). Counters and the
@@ -138,8 +118,6 @@ class StatsCollector {
   /// pinned).
   mutable util::Mutex batch_mutex_;
   std::vector<std::uint64_t> batch_size_counts_ MAGIC_GUARDED_BY(batch_mutex_);
-
-  GlobalMirror global_;
 };
 
 }  // namespace magic::serve

@@ -1,5 +1,7 @@
 #include "serve/daemon.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -41,15 +43,51 @@ ServeConfig daemon_config() {
 std::vector<std::string> run_stream(const std::string& input,
                                     InferenceServer& server,
                                     std::uint64_t* served = nullptr) {
-  std::istringstream in(input);
-  std::ostringstream out;
-  const std::uint64_t n = serve_stream(in, out, server);
-  if (served != nullptr) *served = n;
-  std::vector<std::string> lines;
-  std::istringstream reader(out.str());
-  std::string line;
-  while (std::getline(reader, line)) lines.push_back(line);
-  return lines;
+  ServerScanService service(server);
+  return testing::run_stdio(input, service, served);
+}
+
+/// Both ends of a pipe, closed on scope exit.
+struct Pipe {
+  Pipe() { EXPECT_EQ(::pipe2(fds, O_CLOEXEC), 0); }
+  ~Pipe() {
+    close_write();
+    if (fds[0] >= 0) ::close(fds[0]);
+  }
+  Pipe(const Pipe&) = delete;
+  Pipe& operator=(const Pipe&) = delete;
+
+  int read_end() const { return fds[0]; }
+  int write_end() const { return fds[1]; }
+  void close_write() {
+    if (fds[1] >= 0) ::close(fds[1]);
+    fds[1] = -1;
+  }
+
+  int fds[2] = {-1, -1};
+};
+
+/// Reads the next '\n'-terminated line from `fd` into `line`, waiting at
+/// most until `deadline`; false on timeout or EOF. `buffer` carries bytes
+/// read past the line.
+bool read_line_by(int fd, std::string& buffer, std::string& line,
+                  std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    if (const std::size_t newline = buffer.find('\n'); newline != std::string::npos) {
+      line = buffer.substr(0, newline);
+      buffer.erase(0, newline + 1);
+      return true;
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd poller{fd, POLLIN, 0};
+    if (::poll(&poller, 1, static_cast<int>(left.count())) <= 0) continue;
+    char chunk[4096];
+    const ssize_t got = ::read(fd, chunk, sizeof(chunk));
+    if (got <= 0) return false;
+    buffer.append(chunk, static_cast<std::size_t>(got));
+  }
 }
 
 TEST(ServeStream, GoldenVerdictMatchesDirectScan) {
@@ -144,6 +182,109 @@ TEST(ServeStream, QuitStopsReadingFurtherRequests) {
   EXPECT_NE(lines[0].find("\"id\":\"q1\""), std::string::npos);
 }
 
+// A client that waits for each verdict before sending its next request
+// gets every verdict without sending keepalive lines: serve_stream writes a
+// verdict when it completes, not when the next input line arrives.
+TEST(ServeStream, WritesEachVerdictWhenItCompletes) {
+  InferenceServer server(shared_classifier(), daemon_config());
+  ServerScanService service(server);
+  Pipe requests;
+  Pipe responses;
+  std::uint64_t served = 0;
+  std::thread stdio([&] {
+    served = serve_stream(requests.read_end(), responses.write_end(), service);
+  });
+
+  const std::string b64 = wire::base64_encode(kListing);
+  constexpr int kRequests = 3;
+  std::string buffer;
+  int answered = 0;
+  for (int r = 0; r < kRequests; ++r) {
+    const std::string id = std::string("w") + std::to_string(r);
+    wire::write_line(requests.write_end(), id + " b64 " + b64);
+    std::string line;
+    if (!read_line_by(responses.read_end(), buffer, line,
+                      std::chrono::steady_clock::now() + 5s)) {
+      ADD_FAILURE() << "no verdict for " << id << " within 5 s";
+      break;
+    }
+    EXPECT_NE(line.find("\"id\":\"" + id + "\""), std::string::npos) << line;
+    EXPECT_NE(line.find("\"status\":\"ok\""), std::string::npos) << line;
+    ++answered;
+  }
+  // End of input lets serve_stream return even when a verdict was missed.
+  requests.close_write();
+  stdio.join();
+  EXPECT_EQ(answered, kRequests);
+  EXPECT_EQ(served, static_cast<std::uint64_t>(kRequests));
+}
+
+// A fast pipelining client never overflows the server queue on its own:
+// serve_stream keeps at most queue_capacity responses owed.
+TEST(ServeStream, PipelinedBurstNeverOverflowsTheServerQueue) {
+  ServeConfig config;
+  config.workers = 1;
+  config.max_batch = 1;
+  config.queue_capacity = 2;
+  InferenceServer server(shared_classifier(), config);
+  ServerScanService service(server);
+  Pipe requests;
+  Pipe responses;
+  std::thread stdio([&] {
+    serve_stream(requests.read_end(), responses.write_end(), service);
+    responses.close_write();
+  });
+
+  constexpr int kRequests = 600;
+  const std::string b64 = wire::base64_encode(kListing);
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
+  // The whole burst goes out without waiting for any verdict. The write
+  // end is non-blocking so a stalled serve_stream fails the test at the
+  // deadline instead of hanging the writer.
+  ASSERT_EQ(::fcntl(requests.write_end(), F_SETFL, O_NONBLOCK), 0);
+  std::thread writer([&] {
+    std::string burst;
+    for (int r = 0; r < kRequests; ++r) {
+      burst += 'p';
+      burst += std::to_string(r);
+      burst += " b64 ";
+      burst += b64;
+      burst += '\n';
+    }
+    for (std::size_t sent = 0;
+         sent < burst.size() && std::chrono::steady_clock::now() < deadline;) {
+      const ssize_t n = ::write(requests.write_end(), burst.data() + sent,
+                                burst.size() - sent);
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+      } else {
+        pollfd poller{requests.write_end(), POLLOUT, 0};
+        ::poll(&poller, 1, 100);
+      }
+    }
+    requests.close_write();
+  });
+
+  std::vector<std::string> lines;
+  std::string buffer;
+  std::string line;
+  while (read_line_by(responses.read_end(), buffer, line, deadline)) {
+    lines.push_back(line);
+  }
+  writer.join();
+  stdio.join();
+  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kRequests));
+  int ok = 0;
+  for (int r = 0; r < kRequests; ++r) {
+    const std::string& response = lines[static_cast<std::size_t>(r)];
+    EXPECT_NE(response.find("\"id\":\"p" + std::to_string(r) + "\""),
+              std::string::npos)
+        << response;
+    if (response.find("\"status\":\"ok\"") != std::string::npos) ++ok;
+  }
+  EXPECT_EQ(ok, kRequests) << "rejected: " << server.stats().rejected_full;
+}
+
 TEST(UnixDaemon, RoundTripOverSocket) {
   InferenceServer server(shared_classifier(), daemon_config());
 
@@ -156,8 +297,9 @@ TEST(UnixDaemon, RoundTripOverSocket) {
   options.handle_signals = false;
   options.external_stop = &stop;
 
+  ServerScanService service(server);
   std::uint64_t served = 0;
-  std::thread daemon([&] { served = run_unix_daemon(server, options); });
+  std::thread daemon([&] { served = run_unix_daemon(service, options); });
 
   // The listener may not be bound yet; retry the connect briefly.
   std::unique_ptr<wire::UnixClient> client;
@@ -204,7 +346,8 @@ TEST(UnixDaemon, SurvivesClientThatDisconnectsWithUnreadResponses) {
   options.handle_signals = false;  // no SIG_IGN: MSG_NOSIGNAL must suffice
   options.external_stop = &stop;
 
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  ServerScanService service(server);
+  std::thread daemon([&] { run_unix_daemon(service, options); });
   const std::string b64 = wire::base64_encode(kListing);
   for (int attempt = 0; attempt < 100; ++attempt) {
     try {
@@ -243,7 +386,8 @@ TEST(UnixDaemon, DrainMidConnectionResolvesOutstandingRequests) {
   options.handle_signals = false;
   options.external_stop = &stop;
 
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  ServerScanService service(server);
+  std::thread daemon([&] { run_unix_daemon(service, options); });
   std::unique_ptr<wire::UnixClient> client;
   for (int attempt = 0; attempt < 100; ++attempt) {
     try {

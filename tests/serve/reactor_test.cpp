@@ -82,6 +82,7 @@ class BlockingControlService final : public ScanService {
     while (!release.load()) std::this_thread::sleep_for(1ms);
     return "{\"status\":\"ok\",\"op\":\"reload\"}";
   }
+  std::size_t queue_capacity() const override { return 256; }
   void drain() override {}
 
   std::atomic<bool> control_started{false};
@@ -97,8 +98,9 @@ TEST(Reactor, ManyConcurrentClientsEachSeeOrderedResponses) {
   options.handle_signals = false;
   options.external_stop = &stop;
 
+  ServerScanService service(server);
   std::uint64_t served = 0;
-  std::thread daemon([&] { served = run_unix_daemon(server, options); });
+  std::thread daemon([&] { served = run_unix_daemon(service, options); });
 
   constexpr int kClients = 8;
   constexpr int kRequests = 6;
@@ -145,7 +147,8 @@ TEST(Reactor, StatsPayloadCarriesReactorBlock) {
   options.socket_path = socket_path;
   options.handle_signals = false;
   options.external_stop = &stop;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  ServerScanService service(server);
+  std::thread daemon([&] { run_unix_daemon(service, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -174,7 +177,8 @@ TEST(Reactor, MalformedAndControlLinesAnswerOnSingleModelDaemon) {
   options.socket_path = socket_path;
   options.handle_signals = false;
   options.external_stop = &stop;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  ServerScanService service(server);
+  std::thread daemon([&] { run_unix_daemon(service, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -199,15 +203,17 @@ TEST(Reactor, MalformedAndControlLinesAnswerOnSingleModelDaemon) {
 }
 
 TEST(Reactor, TinyPendingWindowBackpressureKeepsOrder) {
-  InferenceServer server(shared_classifier(), reactor_config());
+  ServeConfig config = reactor_config();
+  config.queue_capacity = 4;  // the pending cap: forces repeated pause/resume
+  InferenceServer server(shared_classifier(), config);
   const std::string socket_path = unique_socket_path("backpressure");
   std::atomic<bool> stop{false};
   DaemonOptions options;
   options.socket_path = socket_path;
   options.handle_signals = false;
   options.external_stop = &stop;
-  options.max_pending_per_connection = 4;  // forces repeated pause/resume
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  ServerScanService service(server);
+  std::thread daemon([&] { run_unix_daemon(service, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -296,7 +302,8 @@ TEST(Reactor, FdExhaustionParksListenerAndRecovers) {
   options.handle_signals = false;
   options.external_stop = &stop;
   options.inject_accept_errno = &accept_errno;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  ServerScanService service(server);
+  std::thread daemon([&] { run_unix_daemon(service, options); });
 
   // connect() completes against the listener backlog even while accepts
   // fail; the injected EMFILE parks the listener, the backoff re-arms it,
@@ -327,7 +334,8 @@ TEST(Reactor, TinyReadChunkBudgetStillServesPipelinedBurst) {
   options.handle_signals = false;
   options.external_stop = &stop;
   options.read_chunk_bytes = 128;  // far below the burst: many read passes
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  ServerScanService service(server);
+  std::thread daemon([&] { run_unix_daemon(service, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -361,7 +369,8 @@ TEST(Reactor, DrainUnderNonReadingClientIsBounded) {
   options.external_stop = &stop;
   options.drain_grace = 300ms;
   options.write_stall_timeout = 200ms;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  ServerScanService service(server);
+  std::thread daemon([&] { run_unix_daemon(service, options); });
 
   auto client = connect_retry(socket_path);
   ASSERT_NE(client, nullptr);
@@ -390,10 +399,11 @@ TEST(Reactor, FatalLoopFaultTearsDownConnectionsAndThrows) {
   options.external_stop = &stop;
   options.inject_loop_fault = &fault;
 
+  ServerScanService service(server);
   std::exception_ptr error;
   std::thread daemon([&] {
     try {
-      run_unix_daemon(server, options);
+      run_unix_daemon(service, options);
     } catch (...) {
       error = std::current_exception();
     }
@@ -435,8 +445,9 @@ TEST(Reactor, BindRefusesToReplaceNonSocketFile) {
   DaemonOptions options;
   options.socket_path = path;
   options.handle_signals = false;
+  ServerScanService service(server);
   try {
-    run_unix_daemon(server, options);
+    run_unix_daemon(service, options);
     FAIL() << "expected bind to refuse a non-socket path";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("refusing"), std::string::npos)
@@ -468,7 +479,8 @@ TEST(Reactor, StaleSocketFileIsReplacedAndRemovedOnShutdown) {
   options.socket_path = path;
   options.handle_signals = false;
   options.external_stop = &stop;
-  std::thread daemon([&] { run_unix_daemon(server, options); });
+  ServerScanService service(server);
+  std::thread daemon([&] { run_unix_daemon(service, options); });
   auto client = connect_retry(path);
   EXPECT_NE(client, nullptr);  // the stale file was replaced by a live listener
   client.reset();

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "magic/classifier.hpp"
+#include "obs/metrics.hpp"
 #include "serve/daemon.hpp"
 #include "serve/registry.hpp"
 #include "serve/serve_test_util.hpp"
@@ -207,6 +207,56 @@ TEST(ModelRegistry, ExplicitOverridesAreNeverMirrored) {
   EXPECT_EQ(registry->registry_stats().shadow_mirrored, 0u);
 }
 
+// The shadow and reload counters reach the process-wide metrics registry
+// only while obs is enabled; the registry's own stats count every event.
+TEST(ModelRegistry, CountersMirrorIntoGlobalRegistryOnlyWhileObsEnabled) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  metrics.reset_values();
+  ASSERT_FALSE(obs::enabled());
+  auto registry = make_registry();
+  // A pair is scored by whichever of its verdicts resolves last, which can
+  // be after the primary's get() returned.
+  auto settled = [&](std::uint64_t pairs) {
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    RegistryStats stats = registry->registry_stats();
+    while (stats.shadow_agreed + stats.shadow_disagreed + stats.shadow_failed < pairs &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+      stats = registry->registry_stats();
+    }
+    return stats;
+  };
+
+  registry->load_version("v2", shared_checkpoint(), /*make_default=*/false);
+  registry->set_shadow("v2", 1.0);
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_TRUE(registry->submit_listing(kListing, "").get().ok());
+  }
+  settled(2);
+  EXPECT_EQ(metrics.counter("registry.reloads").value(), 0u);
+  EXPECT_EQ(metrics.counter("registry.shadow_mirrored").value(), 0u);
+  EXPECT_EQ(metrics.counter("registry.shadow_agreed").value(), 0u);
+
+  obs::set_enabled(true);
+  registry->load_version("v3", shared_checkpoint(), /*make_default=*/false);
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_TRUE(registry->submit_listing(kListing, "").get().ok());
+  }
+  const RegistryStats stats = settled(5);
+  obs::set_enabled(false);
+
+  EXPECT_EQ(stats.reloads, 2u);
+  EXPECT_EQ(stats.shadow_mirrored, 5u);
+  EXPECT_EQ(stats.shadow_agreed, 5u);  // one checkpoint behind both versions
+  EXPECT_EQ(metrics.counter("registry.reloads").value(), 1u);
+  EXPECT_EQ(metrics.counter("registry.shadow_mirrored").value(), 3u);
+  EXPECT_EQ(metrics.counter("registry.shadow_agreed").value(), 3u);
+  EXPECT_EQ(metrics.counter("registry.shadow_disagreed").value(), 0u);
+  EXPECT_EQ(metrics.counter("registry.shadow_failed").value(), 0u);
+  registry->drain();
+  metrics.reset_values();
+}
+
 TEST(ModelRegistry, ControlRejectsBadReloadAndUnknownShadow) {
   auto registry = make_registry();
   wire::Request reload;
@@ -294,14 +344,15 @@ TEST(ModelRegistry, WireReloadShadowAndOverrideEndToEnd) {
 
 TEST(ModelRegistry, StdioStreamServesControlLines) {
   auto registry = make_registry();
-  std::istringstream in("p1 b64 " + wire::base64_encode(kListing) +
-                        "\nreload v2 " + shared_checkpoint() +
-                        "\nshadow off\nstats\n");
-  std::ostringstream out;
-  const std::uint64_t served = serve_stream(in, out, *registry);
+  std::uint64_t served = 0;
+  const auto lines = testing::run_stdio("p1 b64 " + wire::base64_encode(kListing) +
+                                            "\nreload v2 " + shared_checkpoint() +
+                                            "\nshadow off\nstats\n",
+                                        *registry, &served);
   registry->drain();
   EXPECT_EQ(served, 1u);
-  const std::string text = out.str();
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
   EXPECT_NE(text.find("\"id\":\"p1\""), std::string::npos) << text;
   EXPECT_NE(text.find("\"op\":\"reload\""), std::string::npos) << text;
   EXPECT_NE(text.find("\"mode\":\"off\""), std::string::npos) << text;

@@ -1,12 +1,25 @@
 #pragma once
 // Shared fixture for the serve-layer tests: one small classifier trained on
 // the synthetic separable dataset (trained once per process, the suites
-// only ever read predictions from replicas).
+// only ever read predictions from replicas), and a runner for the stdio
+// front end.
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
 
 #include "magic/classifier.hpp"
 #include "magic/core_test_util.hpp"
+#include "serve/daemon.hpp"
+#include "serve/scan_service.hpp"
 
 namespace magic::serve::testing {
 
@@ -46,6 +59,40 @@ inline acfg::Acfg small_graph(int label, std::uint64_t seed) {
 inline acfg::Acfg plug_graph() {
   util::Rng rng(99);
   return core::testing::make_graph(0, 20000, /*chain=*/true, rng);
+}
+
+/// Runs serve_stream with `input` as its whole request stream: a temp
+/// file is its stdin (poll(2) reports a regular file always readable) and
+/// another temp file its stdout. Returns the response lines; `served`
+/// receives serve_stream's count of scan requests.
+inline std::vector<std::string> run_stdio(const std::string& input,
+                                          ScanService& service,
+                                          std::uint64_t* served = nullptr) {
+  static int run = 0;
+  const std::string base = ::testing::TempDir() + "magic_stdio_" +
+                           std::to_string(::getpid()) + "_" + std::to_string(run++);
+  const std::string in_path = base + ".in";
+  const std::string out_path = base + ".out";
+  {
+    std::ofstream in(in_path, std::ios::binary);
+    in << input;
+  }
+  const int in_fd = ::open(in_path.c_str(), O_RDONLY | O_CLOEXEC);
+  const int out_fd =
+      ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+  EXPECT_GE(in_fd, 0);
+  EXPECT_GE(out_fd, 0);
+  const std::uint64_t n = serve_stream(in_fd, out_fd, service);
+  ::close(in_fd);
+  ::close(out_fd);
+  if (served != nullptr) *served = n;
+  std::vector<std::string> lines;
+  std::ifstream reader(out_path);
+  std::string line;
+  while (std::getline(reader, line)) lines.push_back(line);
+  std::remove(in_path.c_str());
+  std::remove(out_path.c_str());
+  return lines;
 }
 
 }  // namespace magic::serve::testing
