@@ -147,7 +147,6 @@ CachePoint run_point(core::MagicClassifier& clf,
   config.workers = 2;
   config.queue_capacity = stream.size() + 1;
   config.max_batch = 8;
-  config.batch_window = std::chrono::microseconds(2000);
   config.cache_bytes = cache_on ? (16ull << 20) : 0;
   serve::InferenceServer server(clf, config);
 

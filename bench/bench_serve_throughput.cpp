@@ -51,6 +51,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "acfg/extractor.hpp"
@@ -155,7 +156,6 @@ SweepPoint run_point(const core::MagicClassifier& clf,
   config.workers = workers;
   config.queue_capacity = workload.size() + 1;  // sweep measures throughput, not sheds
   config.max_batch = batched ? 8 : 1;
-  config.batch_window = std::chrono::microseconds(batched ? 2000 : 0);
   serve::InferenceServer server(clf, config);
 
   std::vector<serve::PendingVerdict> handles;
@@ -233,7 +233,6 @@ ConnectionPoint run_connection_point(core::MagicClassifier& clf,
   config.workers = 4;
   config.queue_capacity = connections + 16;
   config.max_batch = 8;
-  config.batch_window = std::chrono::microseconds(2000);
   serve::InferenceServer server(clf, config);
   serve::ServerScanService service(server);
   std::atomic<bool> stop{false};
@@ -430,8 +429,11 @@ int main(int argc, char** argv) {
     const std::vector<std::string> listings =
         make_listings(max_conns, opt.seed ^ 0xC0117);
     for (std::size_t i = 0; i < listings.size(); ++i) {
-      requests.push_back("q" + std::to_string(i) + " b64 " +
-                         serve::wire::base64_encode(listings[i]));
+      std::string request = "q";
+      request.append(std::to_string(i))
+          .append(" b64 ")
+          .append(serve::wire::base64_encode(listings[i]));
+      requests.push_back(std::move(request));
     }
     util::Table conn_table({"Connections", "Connect (s)", "Serve (s)",
                             "Throughput (req/s)", "OK"});

@@ -15,7 +15,8 @@
 // hot-swaps the default without dropping in-flight requests). Shadow mode
 // (--shadow NAME:FRACTION, or `shadow NAME FRACTION` on the wire) mirrors a
 // fraction of traffic to a candidate version and counts family agreement.
-// Tuning: --workers N --queue N --batch N --window-us U --deadline-ms D
+// Tuning: --workers N --queue N --batch N (most queued requests a worker
+//         scores as one pack; it never waits for more) --deadline-ms D
 //         --cache-bytes N (verdict-cache budget; 0 disables; default 64 MiB)
 //         --io-workers N (socket daemon's extraction workers)
 //
@@ -85,8 +86,8 @@ struct Options {
       << "usage: " << argv0 << " --model FILE [--socket PATH]\n"
       << "           [--model-version NAME] [--load NAME=FILE ...]\n"
       << "           [--shadow NAME:FRACTION] [--io-workers N]\n"
-      << "           [--workers N] [--queue N] [--batch N] [--window-us U]\n"
-      << "           [--deadline-ms D] [--cache-bytes N] [--stats-every SECS]\n"
+      << "           [--workers N] [--queue N] [--batch N] [--deadline-ms D]\n"
+      << "           [--cache-bytes N] [--stats-every SECS]\n"
       << "           [--log-json]\n"
       << "       " << argv0 << " --selftrain FILE [--samples-dir DIR]\n"
       << "           [--scale F] [--epochs N] [--seed S] [--op paper|sage|tag]\n";
@@ -129,8 +130,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--workers") opt.serve.workers = as_ul(need_value(i));
     else if (arg == "--queue") opt.serve.queue_capacity = as_ul(need_value(i));
     else if (arg == "--batch") opt.serve.max_batch = as_ul(need_value(i));
-    else if (arg == "--window-us")
-      opt.serve.batch_window = std::chrono::microseconds(as_l(need_value(i)));
     else if (arg == "--deadline-ms")
       opt.serve.default_deadline = std::chrono::milliseconds(as_l(need_value(i)));
     else if (arg == "--cache-bytes") opt.serve.cache_bytes = as_ul(need_value(i));
@@ -252,8 +251,7 @@ int main(int argc, char** argv) {
               << opt.model_version << ", " << families << " families), "
               << opt.serve.workers << " workers, queue "
               << opt.serve.queue_capacity << ", batch "
-              << opt.serve.max_batch << " @ "
-              << opt.serve.batch_window.count() << "us, cache "
+              << opt.serve.max_batch << ", cache "
               << (opt.serve.cache_bytes == 0
                       ? std::string("off")
                       : std::to_string(opt.serve.cache_bytes >> 20) + " MiB")

@@ -136,22 +136,12 @@ void InferenceServer::cache_store(const Queued& request,
 }
 
 void InferenceServer::worker_loop() {
-  nn::InferenceWorkspace workspace;  // this worker's scratch, for its lifetime
-  Queued first;
-  while (queue_.pop(first)) {
-    // Dynamic micro-batch: keep collecting until the batch fills or the
-    // window elapses. pop_until returning false on close/drain just means
-    // "flush what you have".
-    std::vector<Queued> batch;
-    batch.reserve(config_.max_batch);
-    batch.push_back(std::move(first));
-    if (config_.max_batch > 1 && config_.batch_window.count() > 0) {
-      const Clock::time_point flush_at = Clock::now() + config_.batch_window;
-      Queued extra;
-      while (batch.size() < config_.max_batch && queue_.pop_until(extra, flush_at)) {
-        batch.push_back(std::move(extra));
-      }
-    }
+  // This worker's scratch and batch buffer, reused for its lifetime.
+  nn::InferenceWorkspace workspace;
+  std::vector<Queued> batch;
+  batch.reserve(config_.max_batch);
+  // Never waits for a batch to fill: a lone request is scored at once.
+  while (queue_.pop_batch(batch, config_.max_batch)) {
     stats_.on_batch(batch.size());
     execute_batch(batch, workspace);
   }

@@ -6,11 +6,12 @@
 // one-shot predict(): a resident service that scores on a trained model and
 // pushes every request through one bounded queue:
 //
-//   submit() --try_push--> BoundedQueue --pop--> worker micro-batcher
-//                 |                                   |
-//            full? reject                  flush on max_batch or
-//            (backpressure)                batch_window deadline
-//                                                     |
+//   submit() --try_push--> BoundedQueue --pop_batch--> worker micro-batcher
+//                 |                                             |
+//            full? reject                  takes what is already queued,
+//            (backpressure)                up to max_batch; never waits
+//                                          for more
+//                                                               |
 //                                          deadline-expired items shed, then
 //                                          ONE packed forward for the rest
 //                                          on the shared const model, with
@@ -23,11 +24,12 @@
 // scores on the one classifier the server references; each worker owns
 // one workspace for its lifetime. No model is copied.
 //
-// Dynamic micro-batching: a worker that pops one request keeps collecting
-// until it has `max_batch` items or `batch_window` has elapsed, then scores
-// the whole batch. Under load batches fill instantly (queue
-// synchronization and stats amortize across the batch); when idle a lone
-// request waits at most one batch window and is scored as a pack of one.
+// Dynamic micro-batching: a worker blocks only while the queue is empty,
+// then takes every request already queued, up to `max_batch`, in one queue
+// operation and scores them at once; it never waits for more to arrive.
+// When idle, a lone request is scored immediately as a pack of one. Under
+// load, the requests that queued while the workers were busy go out as one
+// pack (queue synchronization and stats amortize across the batch).
 //
 // Shutdown: stop(drain=true) — the SIGTERM path — stops admission and lets
 // workers finish every queued request; stop(drain=false) resolves queued
@@ -61,11 +63,9 @@ struct ServeConfig {
   std::size_t workers = 4;
   /// Bounded request queue: submissions beyond this reject immediately.
   std::size_t queue_capacity = 256;
-  /// Micro-batch flush threshold (1 disables batching).
+  /// Most requests a worker takes from the queue as one micro-batch
+  /// (1 disables batching).
   std::size_t max_batch = 8;
-  /// Micro-batch flush deadline: how long a worker waits for more requests
-  /// after the first one (0 disables the wait, i.e. flush immediately).
-  std::chrono::microseconds batch_window{2000};
   /// Default per-request deadline; 0 = none. A request whose deadline has
   /// passed when a worker picks it up resolves as DeadlineExpired without
   /// being scored (load shedding).

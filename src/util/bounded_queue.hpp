@@ -5,7 +5,8 @@
 // never block — a full queue rejects immediately (try_push returns false),
 // which the InferenceServer turns into a RejectedQueueFull verdict so heavy
 // traffic degrades with fast, explicit backpressure instead of unbounded
-// latency. Consumers block (with optional deadline) and drain remaining
+// latency. A consumer blocks only while the queue is empty, then takes
+// everything already queued up to its batch bound, and drains the remaining
 // items after close(), which is what makes graceful SIGTERM drain work.
 //
 // Locking protocol (machine-checked via -Wthread-safety, see
@@ -13,17 +14,18 @@
 // mutex_; every public method acquires it internally, so callers must not
 // hold it across calls (MAGIC_EXCLUDES).
 
-#include <chrono>
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace magic::util {
 
-/// Bounded MPMC FIFO with non-blocking producers and blocking consumers.
+/// Bounded MPMC FIFO with non-blocking producers and blocking batch consumers.
 template <typename T>
 class BoundedQueue {
  public:
@@ -47,35 +49,22 @@ class BoundedQueue {
   }
   bool try_push(T&& item) MAGIC_EXCLUDES(mutex_) { return try_push(item); }
 
-  /// Blocking pop. Returns false only when the queue is closed and fully
-  /// drained (the consumer-shutdown signal).
-  bool pop(T& out) MAGIC_EXCLUDES(mutex_) {
+  /// Blocks only while the queue is empty and open, then replaces `out`'s
+  /// contents with up to `max` queued items (at least 1, so `max` 0 takes
+  /// one), oldest first, under one lock acquisition: it never waits for
+  /// more items than are already queued. Returns false only when the queue
+  /// is closed and fully drained (the consumer-shutdown signal), with `out`
+  /// empty.
+  bool pop_batch(std::vector<T>& out, std::size_t max) MAGIC_EXCLUDES(mutex_) {
+    out.clear();
     MutexLock lock(mutex_);
     while (!closed_ && items_.empty()) cv_.wait(lock);
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  /// Pop with a deadline. Returns false on timeout *or* when closed and
-  /// drained; callers that need to distinguish check closed() afterwards.
-  /// (The serve batcher treats both as "flush what you have".)
-  template <typename Clock, typename Duration>
-  bool pop_until(T& out, const std::chrono::time_point<Clock, Duration>& deadline)
-      MAGIC_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    while (!closed_ && items_.empty()) {
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-        // One final look: the condition may have become true while waking.
-        if (items_.empty()) return false;
-        break;
-      }
+    const std::size_t take = std::min(items_.size(), std::max<std::size_t>(max, 1));
+    for (std::size_t i = 0; i < take; ++i) {
+      out.push_back(std::move(items_.front()));
+      items_.pop_front();
     }
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    return true;
+    return take > 0;
   }
 
   /// Closes the queue: subsequent pushes fail, queued items remain poppable

@@ -87,7 +87,10 @@ std::string log_timestamp() {
                       1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[32];
+  // Sized for the format's worst case, so the output is never truncated:
+  // six int fields of up to 11 characters, the millisecond field (at most
+  // 4), seven literal characters and the terminating NUL.
+  char buf[6 * 11 + 4 + 7 + 1];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(millis));

@@ -170,7 +170,9 @@ TEST(ControlFlowGraph, DotExportMentionsAllBlocks) {
   const std::string dot = g.to_dot();
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   for (const auto& b : g.blocks()) {
-    EXPECT_NE(dot.find("b" + std::to_string(b.id)), std::string::npos);
+    std::string node = "b";
+    node += std::to_string(b.id);
+    EXPECT_NE(dot.find(node), std::string::npos);
   }
 }
 

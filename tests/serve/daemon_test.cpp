@@ -36,7 +36,6 @@ ServeConfig daemon_config() {
   config.workers = 2;
   config.queue_capacity = 64;
   config.max_batch = 4;
-  config.batch_window = 500us;
   return config;
 }
 

@@ -3,7 +3,6 @@
 // and malformed graphs fall back to per-item scoring with per-request error
 // attribution while the server keeps serving.
 
-#include <chrono>
 #include <cmath>
 #include <vector>
 
@@ -15,18 +14,16 @@
 namespace magic::serve {
 namespace {
 
-using namespace std::chrono_literals;
 using testing::shared_classifier;
 using testing::small_graph;
 
-/// One worker + a generous window so concurrently submitted requests are
+/// One worker: requests submitted while occupy_worker() keeps it busy are
 /// guaranteed to coalesce into a single micro-batch.
 ServeConfig one_worker_batching() {
   ServeConfig config;
   config.workers = 1;
   config.queue_capacity = 64;
   config.max_batch = 8;
-  config.batch_window = 50ms;
   return config;
 }
 
@@ -52,7 +49,9 @@ TEST(PackedServe, MicroBatchScoresPackedAndMatchesPredict) {
     samples.push_back(small_graph(i % 2, 300 + static_cast<std::uint64_t>(i)));
   }
   handles.reserve(samples.size());
+  PendingVerdict plug = testing::occupy_worker(server);
   for (const acfg::Acfg& sample : samples) handles.push_back(server.submit(sample));
+  ASSERT_TRUE(plug.get().ok());
 
   const std::vector<core::Prediction> reference =
       core::testing::eval_forward_predictions(clf, samples);
@@ -68,7 +67,7 @@ TEST(PackedServe, MicroBatchScoresPackedAndMatchesPredict) {
     }
   }
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.completed, 6u + 1u);  // the samples and the plug
   EXPECT_GE(stats.packed_batches, 1u);
 }
 
@@ -81,8 +80,10 @@ TEST(PackedServe, LeaseReleasedWhenPackedForwardThrows) {
   // Batch of uniformly bad graphs: GraphBatch::pack succeeds (consistent
   // 2-channel batch) but the packed forward throws channel mismatch; the
   // per-item fallback then attributes an Error to every request.
+  PendingVerdict plug = testing::occupy_worker(server);
   std::vector<PendingVerdict> bad;
   for (int i = 0; i < 3; ++i) bad.push_back(server.submit(bad_channel_graph()));
+  ASSERT_TRUE(plug.get().ok());
   for (auto& handle : bad) {
     const Verdict verdict = handle.get();
     EXPECT_EQ(verdict.status, VerdictStatus::Error);
@@ -91,10 +92,12 @@ TEST(PackedServe, LeaseReleasedWhenPackedForwardThrows) {
 
   // Mixed batch: pack() itself throws (inconsistent channels); healthy
   // requests must still score via the fallback.
+  plug = testing::occupy_worker(server);
   std::vector<PendingVerdict> mixed;
   mixed.push_back(server.submit(small_graph(0, 500)));
   mixed.push_back(server.submit(bad_channel_graph()));
   mixed.push_back(server.submit(small_graph(1, 501)));
+  ASSERT_TRUE(plug.get().ok());
   EXPECT_TRUE(mixed[0].get().ok());
   EXPECT_EQ(mixed[1].get().status, VerdictStatus::Error);
   EXPECT_TRUE(mixed[2].get().ok());

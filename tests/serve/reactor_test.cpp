@@ -44,8 +44,14 @@ ServeConfig reactor_config() {
   config.workers = 2;
   config.queue_capacity = 256;
   config.max_batch = 4;
-  config.batch_window = 500us;
   return config;
+}
+
+/// The scan request line "<tag><index> b64 <payload>".
+std::string b64_request(const char* tag, int index, const std::string& payload) {
+  std::string line = tag;
+  line.append(std::to_string(index)).append(" b64 ").append(payload);
+  return line;
 }
 
 std::string unique_socket_path(const std::string& tag) {
@@ -220,7 +226,7 @@ TEST(Reactor, TinyPendingWindowBackpressureKeepsOrder) {
   constexpr int kRequests = 64;
   const std::string b64 = wire::base64_encode(kListing);
   for (int r = 0; r < kRequests; ++r) {
-    client->send_line("b" + std::to_string(r) + " b64 " + b64);
+    client->send_line(b64_request("b", r, b64));
   }
   client->finish_sending();
   std::vector<std::string> lines;
@@ -342,7 +348,7 @@ TEST(Reactor, TinyReadChunkBudgetStillServesPipelinedBurst) {
   constexpr int kRequests = 48;
   const std::string b64 = wire::base64_encode(kListing);
   for (int r = 0; r < kRequests; ++r) {
-    client->send_line("t" + std::to_string(r) + " b64 " + b64);
+    client->send_line(b64_request("t", r, b64));
   }
   client->finish_sending();
   std::vector<std::string> lines;
@@ -376,7 +382,7 @@ TEST(Reactor, DrainUnderNonReadingClientIsBounded) {
   ASSERT_NE(client, nullptr);
   const std::string b64 = wire::base64_encode(kListing);
   for (int r = 0; r < 32; ++r) {
-    client->send_line("n" + std::to_string(r) + " b64 " + b64);
+    client->send_line(b64_request("n", r, b64));
   }
   // Never read a single response; the daemon must still drain in bounded
   // time (grace period + stall timeout, not forever).

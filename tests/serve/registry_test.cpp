@@ -38,7 +38,6 @@ ServeConfig registry_config() {
   config.workers = 2;
   config.queue_capacity = 256;
   config.max_batch = 4;
-  config.batch_window = 500us;
   return config;
 }
 

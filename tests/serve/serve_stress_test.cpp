@@ -26,7 +26,6 @@ TEST(ServeStress, ManyProducersSmallQueueEveryHandleResolves) {
   config.workers = 3;
   config.queue_capacity = 4;  // guarantees admission-control pressure
   config.max_batch = 2;
-  config.batch_window = 200us;
   InferenceServer server(shared_classifier(), config);
 
   constexpr int kProducers = 4;
@@ -66,7 +65,6 @@ TEST(ServeStress, StopRacesActiveProducers) {
   config.workers = 2;
   config.queue_capacity = 8;
   config.max_batch = 4;
-  config.batch_window = 300us;
   InferenceServer server(shared_classifier(), config);
 
   std::atomic<bool> go{true};
@@ -100,7 +98,6 @@ TEST(ServeStress, StatsReadersDuringLoad) {
   config.workers = 2;
   config.queue_capacity = 32;
   config.max_batch = 4;
-  config.batch_window = 300us;
   InferenceServer server(shared_classifier(), config);
 
   std::atomic<bool> go{true};
@@ -133,7 +130,6 @@ TEST(ServeStress, PredictBatchConcurrentWithLiveServer) {
   config.workers = 2;
   config.queue_capacity = 64;
   config.max_batch = 4;
-  config.batch_window = 300us;
   InferenceServer server(clf, config);
 
   std::vector<acfg::Acfg> batch;
@@ -167,7 +163,6 @@ TEST(ServeStress, ConcurrentScanCallersShareTheServer) {
   config.workers = 4;
   config.queue_capacity = 128;
   config.max_batch = 4;
-  config.batch_window = 300us;
   InferenceServer server(shared_classifier(), config);
 
   std::vector<std::thread> callers;

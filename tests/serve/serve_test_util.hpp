@@ -1,17 +1,20 @@
 #pragma once
 // Shared fixture for the serve-layer tests: one small classifier trained on
 // the synthetic separable dataset (trained once per process, the suites
-// only ever read predictions from replicas), and a runner for the stdio
+// only ever read predictions from replicas), a way to keep a one-worker
+// server busy so requests queue behind it, and a runner for the stdio
 // front end.
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include "magic/core_test_util.hpp"
 #include "serve/daemon.hpp"
 #include "serve/scan_service.hpp"
+#include "serve/server.hpp"
 
 namespace magic::serve::testing {
 
@@ -59,6 +63,18 @@ inline acfg::Acfg small_graph(int label, std::uint64_t seed) {
 inline acfg::Acfg plug_graph() {
   util::Rng rng(99);
   return core::testing::make_graph(0, 20000, /*chain=*/true, rng);
+}
+
+/// Submits plug_graph() to a one-worker `server` and returns once the worker
+/// has taken it. Requests submitted next queue behind the busy worker, so
+/// it takes them together, up to max_batch, when the plug is done.
+inline PendingVerdict occupy_worker(InferenceServer& server) {
+  const std::uint64_t taken = server.stats().batches;
+  PendingVerdict plug = server.submit(plug_graph());
+  while (server.stats().batches == taken) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return plug;
 }
 
 /// Runs serve_stream with `input` as its whole request stream: a temp

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -24,7 +25,6 @@ ServeConfig quick_config() {
   config.workers = 2;
   config.queue_capacity = 64;
   config.max_batch = 4;
-  config.batch_window = 500us;
   return config;
 }
 
@@ -67,57 +67,60 @@ TEST(InferenceServer, SubmitManyAllResolveOk) {
   EXPECT_GE(stats.latency_p99_ms, stats.latency_p50_ms);
 }
 
-// max_batch reached => flush immediately, well before the (huge) window.
-TEST(InferenceServer, BatcherFlushesOnBatchSize) {
-  ServeConfig config;
+// A lone request is scored as soon as a worker takes it: the worker never
+// waits for more requests to fill a batch.
+TEST(InferenceServer, LoneRequestIsScoredWithoutWaiting) {
+  ServeConfig config;  // max_batch 8
   config.workers = 1;
-  config.queue_capacity = 16;
-  config.max_batch = 2;
-  config.batch_window = 60s;  // must never be waited out
   InferenceServer server(shared_classifier(), config);
 
-  std::vector<PendingVerdict> handles;
-  handles.reserve(4);
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 4; ++i) {
-    handles.push_back(server.submit(small_graph(i % 2, 200 + static_cast<std::uint64_t>(i))));
+  constexpr int kRequests = 20;
+  std::vector<double> latencies;
+  latencies.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    const Verdict verdict =
+        server.scan(small_graph(i % 2, 200 + static_cast<std::uint64_t>(i)));
+    ASSERT_TRUE(verdict.ok()) << to_string(verdict.status);
+    latencies.push_back(verdict.latency_ms);
   }
-  for (auto& handle : handles) EXPECT_TRUE(handle.get().ok());
-  EXPECT_LT(std::chrono::steady_clock::now() - start, 30s);
-
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.completed, 4u);
-  ASSERT_GT(stats.batch_size_counts.size(), 2u);
-  // Every batch was flushed by size (2), never by the 60s window.
-  EXPECT_EQ(stats.batch_size_counts[2], 2u);
-  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.batches, static_cast<std::uint64_t>(kRequests));
+  ASSERT_GT(stats.batch_size_counts.size(), 1u);
+  EXPECT_EQ(stats.batch_size_counts[1], static_cast<std::uint64_t>(kRequests));
+  std::nth_element(latencies.begin(), latencies.begin() + kRequests / 2, latencies.end());
+  EXPECT_LT(latencies[kRequests / 2], 2.0);
 }
 
-// No more requests coming => the batch must flush when the window expires,
-// and the requests' latency includes that wait.
-TEST(InferenceServer, BatcherFlushesOnWindowDeadline) {
+// Requests that queue while the lone worker is busy are taken together, up
+// to max_batch, as soon as it is free.
+TEST(InferenceServer, BatchTakesWhatQueuedBehindABusyWorker) {
   ServeConfig config;
   config.workers = 1;
   config.queue_capacity = 16;
-  config.max_batch = 8;  // never reached
-  config.batch_window = 300ms;
+  config.max_batch = 4;
   InferenceServer server(shared_classifier(), config);
 
-  const auto start = std::chrono::steady_clock::now();
+  PendingVerdict plug = testing::occupy_worker(server);
+  // The worker is scoring the plug; these ten queue behind it.
   std::vector<PendingVerdict> handles;
-  handles.reserve(3);
-  for (int i = 0; i < 3; ++i) {
+  handles.reserve(10);
+  for (int i = 0; i < 10; ++i) {
     handles.push_back(server.submit(small_graph(i % 2, 300 + static_cast<std::uint64_t>(i))));
   }
-  for (auto& handle : handles) EXPECT_TRUE(handle.get().ok());
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  // The worker waited out the whole window before scoring.
-  EXPECT_GE(elapsed, 250ms);
+  EXPECT_TRUE(plug.get().ok());
+  for (auto& handle : handles) {
+    const Verdict verdict = handle.get();
+    EXPECT_TRUE(verdict.ok()) << to_string(verdict.status);
+  }
 
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.completed, 3u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_NEAR(stats.mean_batch_size(), 3.0, 1e-9);
+  EXPECT_EQ(stats.completed, 11u);
+  EXPECT_EQ(stats.batches, 4u);
+  ASSERT_EQ(stats.batch_size_counts.size(), 5u);
+  EXPECT_EQ(stats.batch_size_counts[1], 1u);  // the plug
+  EXPECT_EQ(stats.batch_size_counts[4], 2u);
+  EXPECT_EQ(stats.batch_size_counts[2], 1u);
+  EXPECT_EQ(stats.packed_batches, 3u);
 }
 
 TEST(InferenceServer, FullQueueRejectsWithStatus) {
@@ -125,7 +128,6 @@ TEST(InferenceServer, FullQueueRejectsWithStatus) {
   config.workers = 1;
   config.queue_capacity = 2;
   config.max_batch = 1;
-  config.batch_window = 0us;
   InferenceServer server(shared_classifier(), config);
 
   // Occupy the single worker so the queue can actually fill up.
@@ -158,7 +160,6 @@ TEST(InferenceServer, ExpiredDeadlineShedsLoad) {
   config.workers = 1;
   config.queue_capacity = 8;
   config.max_batch = 1;
-  config.batch_window = 0us;
   InferenceServer server(shared_classifier(), config);
 
   // The plugs take many ms on the lone worker; a 1 ms deadline queued
@@ -178,7 +179,6 @@ TEST(InferenceServer, DefaultDeadlineFromConfigApplies) {
   config.workers = 1;
   config.queue_capacity = 8;
   config.max_batch = 1;
-  config.batch_window = 0us;
   config.default_deadline = 1ms;
   InferenceServer server(shared_classifier(), config);
 
@@ -215,7 +215,6 @@ TEST(InferenceServer, AbortStopResolvesQueuedAsShuttingDown) {
   config.workers = 1;
   config.queue_capacity = 64;
   config.max_batch = 1;
-  config.batch_window = 0us;
   InferenceServer server(shared_classifier(), config);
 
   PendingVerdict plug = server.submit(plug_graph());

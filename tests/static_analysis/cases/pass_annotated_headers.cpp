@@ -4,6 +4,8 @@
 // VerdictSlot do all their locking in the header) without needing a full
 // library build.
 
+#include <vector>
+
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "serve/verdict.hpp"
@@ -14,5 +16,7 @@
 int case_main() {
   magic::util::BoundedQueue<int> queue(4);
   queue.close();
-  return 0;
+  // Instantiates the consumer call, so its locking is analyzed too.
+  std::vector<int> batch;
+  return queue.pop_batch(batch, 2) ? 1 : 0;
 }
