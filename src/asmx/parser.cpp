@@ -1,43 +1,97 @@
 #include "asmx/parser.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <charconv>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "asmx/opcode_table.hpp"
 #include "obs/trace.hpp"
-#include "util/string_util.hpp"
 
 namespace magic::asmx {
 namespace {
 
-using util::split;
-using util::to_lower;
-using util::trim;
+// The parser is one pass over string_views into the listing: it folds case
+// at compare time and writes each token it keeps (mnemonic, canonical
+// operand text, label key) into its std::string once. Case and whitespace
+// are ASCII, which is what std::tolower and std::isspace give in the "C"
+// locale the program runs in.
 
-const std::unordered_set<std::string_view>& register_names() {
-  static const std::unordered_set<std::string_view> regs = {
-      "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
-      "r8",  "r9",  "r10", "r11", "r12", "r13", "r14", "r15",
-      "eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp",
-      "ax",  "bx",  "cx",  "dx",  "si",  "di",  "bp",  "sp",
-      "al",  "bl",  "cl",  "dl",  "ah",  "bh",  "ch",  "dh",
-      "r8d", "r9d", "r10d", "r11d", "r12d", "r13d", "r14d", "r15d",
-  };
-  return regs;
+constexpr bool is_space(char c) noexcept { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+constexpr char fold(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
 }
+
+constexpr std::string_view trim(std::string_view s) noexcept {
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
+  return s;
+}
+
+/// Length of the leading token of `s`: up to its first space or tab.
+constexpr std::size_t token_end(std::string_view s) noexcept {
+  std::size_t i = 0;
+  while (i < s.size() && s[i] != ' ' && s[i] != '\t') ++i;
+  return i;
+}
+
+/// Lower-case copy of `s`.
+std::string lower(std::string_view s) {
+  std::string out(s.size(), '\0');
+  std::transform(s.begin(), s.end(), out.begin(), fold);
+  return out;
+}
+
+/// True if `s` starts with the lower-case `prefix`, ignoring ASCII case.
+bool starts_with_folded(std::string_view s, std::string_view prefix) noexcept {
+  if (s.size() < prefix.size()) return false;
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    if (fold(s[i]) != prefix[i]) return false;
+  }
+  return true;
+}
+
+/// Assembler size/kind keywords that may precede an operand.
+constexpr std::string_view kOperandKeywords[] = {
+    "short ", "near ", "far ", "dword ", "qword ", "word ", "byte ", "ptr ", "offset "};
+
+/// `s` and its length as one integer; distinct strings of up to seven
+/// bytes get distinct keys.
+constexpr std::uint64_t pack(std::string_view s) noexcept {
+  std::uint64_t key = s.size();
+  for (const char c : s) key = key << 8 | static_cast<unsigned char>(c);
+  return key;
+}
+
+constexpr std::string_view kRegisterNames[] = {
+    "rax", "rbx", "rcx", "rdx", "rsi", "rdi", "rbp", "rsp",
+    "r8",  "r9",  "r10", "r11", "r12", "r13", "r14", "r15",
+    "eax", "ebx", "ecx", "edx", "esi", "edi", "ebp", "esp",
+    "ax",  "bx",  "cx",  "dx",  "si",  "di",  "bp",  "sp",
+    "al",  "bl",  "cl",  "dl",  "ah",  "bh",  "ch",  "dh",
+    "r8d", "r9d", "r10d", "r11d", "r12d", "r13d", "r14d", "r15d",
+};
+
+/// pack() of every register name, sorted for binary search: nearly every
+/// operand is looked up, and this beats hashing it.
+constexpr auto kRegisterKeys = [] {
+  std::array<std::uint64_t, std::size(kRegisterNames)> keys{};
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = pack(kRegisterNames[i]);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}();
 
 bool is_target_label(std::string_view s) noexcept {
-  return util::starts_with(s, "loc_") || util::starts_with(s, "sub_") ||
-         util::starts_with(s, "locret_");
+  return s.starts_with("loc_") || s.starts_with("sub_") || s.starts_with("locret_");
 }
 
+/// A label operand, resolved once every label is known. Its label is the
+/// operand's canonical text.
 struct PendingTarget {
   std::size_t instruction_index;
   std::size_t operand_index;
-  std::string label;
   std::size_t line;
 };
 
@@ -45,7 +99,7 @@ struct PendingTarget {
 // them without any prefix), so parse them in base 16 regardless of prefix.
 bool parse_hex_address(std::string_view text, std::uint64_t& out) noexcept {
   text = trim(text);
-  if (util::starts_with(text, "0x") || util::starts_with(text, "0X")) {
+  if (text.starts_with("0x") || text.starts_with("0X")) {
     text.remove_prefix(2);
   } else if (!text.empty() && (text.back() == 'h' || text.back() == 'H')) {
     text.remove_suffix(1);
@@ -64,13 +118,18 @@ bool parse_hex_address(std::string_view text, std::uint64_t& out) noexcept {
   return true;
 }
 
+std::string hex(std::uint64_t value) {
+  char buf[16];
+  return {buf, std::to_chars(buf, buf + sizeof buf, value, 16).ptr};
+}
+
 }  // namespace
 
 bool parse_number(std::string_view text, std::uint64_t& out) noexcept {
   text = trim(text);
   if (text.empty()) return false;
   int base = 10;
-  if (util::starts_with(text, "0x") || util::starts_with(text, "0X")) {
+  if (text.starts_with("0x") || text.starts_with("0X")) {
     base = 16;
     text.remove_prefix(2);
   } else if (text.back() == 'h' || text.back() == 'H') {
@@ -92,41 +151,39 @@ bool parse_number(std::string_view text, std::uint64_t& out) noexcept {
 }
 
 bool is_register_name(std::string_view name) noexcept {
-  return register_names().count(name) > 0;
+  return name.size() <= 4 &&
+         std::binary_search(kRegisterKeys.begin(), kRegisterKeys.end(), pack(name));
 }
 
 Operand parse_operand(std::string_view text) {
   Operand op;
-  std::string lower = to_lower(trim(text));
+  std::string_view rest = trim(text);
   // Strip assembler size/kind keywords ("jmp short loc_X", "mov eax,
   // dword ptr [ebx]", "push offset aString"). Repeat until stable so
   // stacked keywords ("dword ptr [x]") fully peel off.
   bool stripped = true;
   while (stripped) {
     stripped = false;
-    for (const char* prefix :
-         {"short ", "near ", "far ", "dword ", "qword ", "word ", "byte ",
-          "ptr ", "offset "}) {
-      if (util::starts_with(lower, prefix)) {
-        lower = std::string(trim(std::string_view(lower).substr(
-            std::string_view(prefix).size())));
+    for (const std::string_view keyword : kOperandKeywords) {
+      if (starts_with_folded(rest, keyword)) {
+        rest = trim(rest.substr(keyword.size()));
         stripped = true;
       }
     }
   }
   // Canonical (lower-case, keyword-free) text: label resolution and tests
   // key off this form.
-  op.text = lower;
+  op.text = lower(rest);
   std::uint64_t value = 0;
-  if (lower.empty()) {
+  if (op.text.empty()) {
     op.kind = OperandKind::Other;
-  } else if (lower.front() == '[' && lower.back() == ']') {
+  } else if (op.text.front() == '[' && op.text.back() == ']') {
     op.kind = OperandKind::Memory;
-  } else if (is_register_name(lower)) {
+  } else if (is_register_name(op.text)) {
     op.kind = OperandKind::Register;
-  } else if (is_target_label(lower)) {
+  } else if (is_target_label(op.text)) {
     op.kind = OperandKind::Target;  // value resolved later from the label map
-  } else if (parse_number(lower, value)) {
+  } else if (parse_number(op.text, value)) {
     op.kind = OperandKind::Immediate;
     op.value = value;
   } else {
@@ -138,9 +195,14 @@ Operand parse_operand(std::string_view text) {
 ParseResult parse_listing(std::string_view text) {
   MAGIC_OBS_SPAN(parse, "extract.parse");
   ParseResult result;
+  auto& insts = result.program.instructions;
+  // At most one instruction per line, and an instruction line takes at
+  // least four bytes ("0 a" and its newline).
+  const auto lines = static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+  insts.reserve(std::min(lines, text.size() / 4 + 1));
   std::unordered_map<std::string, std::uint64_t> labels;
   std::vector<PendingTarget> pending;
-  std::vector<std::string> queued_labels;  // labels awaiting the next address
+  std::vector<std::string_view> queued_labels;  // labels awaiting the next address
 
   std::size_t line_no = 0;
   std::size_t cursor = 0;
@@ -165,8 +227,8 @@ ParseResult parse_listing(std::string_view text) {
 
     // Address + mnemonic [+ operands]. IDA exports prefix the address with
     // a segment name (".text:00401000"); accept both forms.
-    const std::size_t sp = line.find_first_of(" \t");
-    std::string_view addr_text = sp == std::string_view::npos ? line : line.substr(0, sp);
+    const std::size_t sp = token_end(line);
+    std::string_view addr_text = line.substr(0, sp);
     const std::size_t seg_colon = addr_text.rfind(':');
     if (seg_colon != std::string_view::npos && seg_colon + 1 < addr_text.size()) {
       addr_text = addr_text.substr(seg_colon + 1);
@@ -177,35 +239,44 @@ ParseResult parse_listing(std::string_view text) {
                                ": expected hex address, got '" +
                                std::string(addr_text) + "'");
     }
-    for (auto& lbl : queued_labels) labels[to_lower(lbl)] = addr;
+    for (const std::string_view label : queued_labels) {
+      labels.insert_or_assign(lower(label), addr);
+    }
     queued_labels.clear();
 
-    Instruction inst;
-    inst.addr = addr;
-    std::string_view rest = sp == std::string_view::npos ? std::string_view{} : trim(line.substr(sp));
+    std::string_view rest = trim(line.substr(sp));
     // IDA puts labels on the code line ("loc_401010:"); register and strip.
     while (!rest.empty()) {
-      const std::size_t tok_end = std::min(rest.find_first_of(" \t"), rest.size());
+      const std::size_t tok_end = token_end(rest);
       const std::string_view tok = rest.substr(0, tok_end);
       if (tok.size() < 2 || tok.back() != ':') break;
-      labels[to_lower(tok.substr(0, tok.size() - 1))] = addr;
-      rest = tok_end == rest.size() ? std::string_view{} : trim(rest.substr(tok_end));
+      labels.insert_or_assign(lower(tok.substr(0, tok.size() - 1)), addr);
+      rest = trim(rest.substr(tok_end));
     }
     if (rest.empty()) {
       // A bare address or a label-only line marks a location, not code.
       continue;
     }
-    const std::size_t msp = rest.find_first_of(" \t");
-    inst.mnemonic = to_lower(msp == std::string_view::npos ? rest : rest.substr(0, msp));
+    Instruction& inst = insts.emplace_back();
+    inst.addr = addr;
+    const std::size_t msp = token_end(rest);
+    inst.mnemonic = lower(rest.substr(0, msp));
     inst.opclass = classify_mnemonic(inst.mnemonic);
-    if (msp != std::string_view::npos) {
-      for (const auto& piece : split(rest.substr(msp), ',')) {
-        Operand op = parse_operand(piece);
+    if (msp < rest.size()) {
+      // Operands are the comma-separated fields after the mnemonic; empty
+      // fields count.
+      const std::string_view fields = rest.substr(msp);
+      inst.operands.reserve(
+          static_cast<std::size_t>(std::count(fields.begin(), fields.end(), ',')) + 1);
+      for (std::size_t start = 0;;) {
+        const std::size_t comma = fields.find(',', start);
+        const Operand& op =
+            inst.operands.emplace_back(parse_operand(fields.substr(start, comma - start)));
         if (op.kind == OperandKind::Target) {
-          pending.push_back({result.program.instructions.size(),
-                             inst.operands.size(), to_lower(op.text), line_no});
+          pending.push_back({insts.size() - 1, inst.operands.size() - 1, line_no});
         }
-        inst.operands.push_back(std::move(op));
+        if (comma == std::string_view::npos) break;
+        start = comma + 1;
       }
     }
     // Branch/call targets written as raw addresses classify as Immediate
@@ -220,34 +291,36 @@ ParseResult parse_listing(std::string_view text) {
         }
       }
     }
-    result.program.instructions.push_back(std::move(inst));
   }
 
   // Resolve label targets now that all labels are known.
   for (const auto& p : pending) {
-    auto it = labels.find(p.label);
-    auto& op = result.program.instructions[p.instruction_index].operands[p.operand_index];
+    Operand& op = insts[p.instruction_index].operands[p.operand_index];
+    const auto it = labels.find(op.text);
     if (it == labels.end()) {
-      result.diagnostics.push_back({p.line, "unresolved target label '" + p.label + "'"});
+      result.diagnostics.push_back({p.line, "unresolved target label '" + op.text + "'"});
       op.kind = OperandKind::Other;
     } else {
       op.value = it->second;
     }
   }
 
-  // Sort by address, flag duplicates, and infer sizes from address gaps.
-  auto& insts = result.program.instructions;
-  std::stable_sort(insts.begin(), insts.end(),
-                   [](const Instruction& a, const Instruction& b) { return a.addr < b.addr; });
-  for (std::size_t i = 0; i + 1 < insts.size();) {
-    if (insts[i].addr == insts[i + 1].addr) {
+  // Sort by address (listings usually are already), keep the first of each
+  // run of equal addresses, and infer sizes from address gaps.
+  const auto by_addr = [](const Instruction& a, const Instruction& b) { return a.addr < b.addr; };
+  if (!std::is_sorted(insts.begin(), insts.end(), by_addr)) {
+    std::stable_sort(insts.begin(), insts.end(), by_addr);
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 1; i < insts.size(); ++i) {
+    if (insts[i].addr == insts[kept].addr) {
       result.diagnostics.push_back(
-          {0, "duplicate address 0x" + std::to_string(insts[i].addr) + "; keeping first"});
-      insts.erase(insts.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-    } else {
-      ++i;
+          {0, "duplicate address 0x" + hex(insts[i].addr) + "; keeping first"});
+    } else if (++kept != i) {
+      insts[kept] = std::move(insts[i]);
     }
   }
+  if (!insts.empty()) insts.resize(kept + 1);
   for (std::size_t i = 0; i < insts.size(); ++i) {
     if (i + 1 < insts.size()) {
       const std::uint64_t gap = insts[i + 1].addr - insts[i].addr;

@@ -1,5 +1,7 @@
 #include "cfg/cfg_builder.hpp"
 
+#include <utility>
+
 #include "asmx/parser.hpp"
 #include "asmx/tagging.hpp"
 #include "obs/trace.hpp"
@@ -21,12 +23,14 @@ BlockId CfgBuilder::get_block_at_addr(ControlFlowGraph& g, std::uint64_t addr) {
 //   3. if it branches, connect current -> block(branchTo) (creating the
 //      target block if it does not exist yet);
 //   4. append it to the current block and advance.
-ControlFlowGraph CfgBuilder::connect_blocks(const asmx::Program& program) {
+// The program is this call's own, so step 4 moves each instruction instead
+// of copying it.
+ControlFlowGraph CfgBuilder::connect_blocks(asmx::Program program) {
   ControlFlowGraph g;
-  const auto& insts = program.instructions;
+  auto& insts = program.instructions;
   BlockId curr_block = kInvalidBlock;
   for (std::size_t i = 0; i < insts.size(); ++i) {
-    const asmx::Instruction& inst = insts[i];
+    asmx::Instruction& inst = insts[i];
     if (inst.start || curr_block == kInvalidBlock) {
       curr_block = get_block_at_addr(g, inst.addr);
     }
@@ -43,7 +47,7 @@ ControlFlowGraph CfgBuilder::connect_blocks(const asmx::Program& program) {
       g.block(curr_block).add_successor(target);
     }
 
-    g.block(curr_block).instructions.push_back(inst);
+    g.block(curr_block).instructions.push_back(std::move(inst));
     curr_block = next_block;
   }
   return g;
@@ -57,7 +61,7 @@ ControlFlowGraph CfgBuilder::build_from_listing(std::string_view listing) {
   asmx::TaggingPass tagger;
   tagger.run(parsed.program);
   CfgBuilder builder;
-  return builder.connect_blocks(parsed.program);
+  return builder.connect_blocks(std::move(parsed.program));
 }
 
 }  // namespace magic::cfg

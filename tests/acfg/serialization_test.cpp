@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "acfg/extractor.hpp"
+#include "temp_file.hpp"
 
 namespace magic::acfg {
 namespace {
@@ -81,9 +82,9 @@ TEST(Serialization, RejectsEdgeOutOfRange) {
 
 TEST(Serialization, FileRoundTrip) {
   std::vector<Acfg> corpus = {sample_acfg()};
-  const std::string path = ::testing::TempDir() + "/corpus_test.acfg";
-  save_corpus(path, corpus);
-  auto restored = load_corpus(path);
+  const magic::testing::ScopedTempFile file("corpus_test.acfg");
+  save_corpus(file.path(), corpus);
+  auto restored = load_corpus(file.path());
   ASSERT_EQ(restored.size(), 1u);
   EXPECT_EQ(restored[0].label, corpus[0].label);
 }

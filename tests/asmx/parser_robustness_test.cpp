@@ -2,6 +2,7 @@
 // listings — real-world disassembly of packed malware is full of garbage
 // (the paper notes "the correctness of the .asm file is not guaranteed").
 
+#include <chrono>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -95,6 +96,21 @@ TEST(ParserRobustness, DuplicateLabelsLastOneWins) {
   const auto& jmp = r.program.instructions[2];
   ASSERT_TRUE(jmp.operands[0].kind == OperandKind::Target);
   EXPECT_EQ(jmp.operands[0].value, 0x401001u);
+}
+
+TEST(ParserRobustness, DuplicateAddressesCompactInLinearTime) {
+  // magicd takes listings of any size, so a long run of one address must
+  // not cost quadratic time; the first instruction of the run is kept.
+  std::string text = "401000 push ebp\n";
+  for (int i = 1; i < 20000; ++i) text += "401000 nop\n";
+  const auto start = std::chrono::steady_clock::now();
+  const auto r = parse_listing(text);
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+  ASSERT_EQ(r.program.instructions.size(), 1u);
+  EXPECT_EQ(r.program.instructions[0].mnemonic, "push");
+  ASSERT_EQ(r.diagnostics.size(), 19999u);
+  EXPECT_EQ(r.diagnostics.front().message, "duplicate address 0x401000; keeping first");
+  EXPECT_LT(took.count(), 1.0);
 }
 
 TEST(ParserRobustness, MixedCaseAndSpacing) {

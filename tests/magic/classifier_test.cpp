@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "magic/core_test_util.hpp"
+#include "temp_file.hpp"
 
 namespace magic::core {
 namespace {
@@ -215,9 +216,9 @@ TEST(MagicClassifier, FileRoundTrip) {
   quick.epochs = 2;
   MagicClassifier clf(small_config(), quick, 18);
   clf.fit(d, 0.2);
-  const std::string path = ::testing::TempDir() + "/magic_model.txt";
-  clf.save(path);
-  MagicClassifier restored = MagicClassifier::load(path);
+  const magic::testing::ScopedTempFile file("magic_model.txt");
+  clf.save(file.path());
+  MagicClassifier restored = MagicClassifier::load(file.path());
   EXPECT_EQ(restored.family_names(), clf.family_names());
 }
 

@@ -16,6 +16,7 @@
 #include "magic/classifier.hpp"
 #include "magic/core_test_util.hpp"
 #include "magic/graph_batch.hpp"
+#include "temp_file.hpp"
 
 namespace magic::core {
 namespace {
@@ -250,9 +251,9 @@ TEST(PackedEquivalence, ModelPredictBatchRejectsChannelMismatch) {
 
 TEST(PackedEquivalence, PathSaveLoadRoundTripPreservesClassify) {
   const MagicClassifier clf = fitted(sort_conv1d_config(), 93);
-  const std::string path = ::testing::TempDir() + "/packed_equiv_model.txt";
-  clf.save(path);
-  const MagicClassifier restored = MagicClassifier::load(path);
+  const magic::testing::ScopedTempFile file("packed_equiv_model.txt");
+  clf.save(file.path());
+  const MagicClassifier restored = MagicClassifier::load(file.path());
   const std::vector<acfg::Acfg> mix = size_mix(94);
   expect_match(restored.classify(mix), clf.classify(mix), "path round trip");
 }

@@ -21,6 +21,7 @@
 #include "serve/registry.hpp"
 #include "serve/serve_test_util.hpp"
 #include "serve/wire.hpp"
+#include "temp_file.hpp"
 
 namespace magic::serve {
 namespace {
@@ -42,15 +43,12 @@ ServeConfig registry_config() {
 }
 
 /// Checkpoint file of the shared test classifier: the reload source for
-/// every test here (saved once per process).
+/// every test here (saved once per process, removed when it exits).
 const std::string& shared_checkpoint() {
-  static const std::string path = [] {
-    std::string p = ::testing::TempDir() + "magic_registry_ckpt_" +
-                    std::to_string(::getpid()) + ".bin";
-    shared_classifier().save(p);
-    return p;
-  }();
-  return path;
+  static const magic::testing::ScopedTempFile file("magic_registry_ckpt_" +
+                                                   std::to_string(::getpid()) + ".bin");
+  [[maybe_unused]] static const bool saved = (shared_classifier().save(file.path()), true);
+  return file.path();
 }
 
 std::unique_ptr<ModelRegistry> make_registry(const std::string& name = "v1") {
