@@ -11,6 +11,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "acfg/extractor.hpp"
 #include "bench_util.hpp"
 #include "data/corpus.hpp"
@@ -69,31 +71,38 @@ BENCHMARK(BM_AcfgConstruction)->Unit(benchmark::kMillisecond);
 void BM_TrainingPerInstance(benchmark::State& state) {
   const data::Dataset& d = small_dataset();
   core::DgcnnModel model = make_model(d);
-  model.set_training(true);
   nn::Adam adam(model.parameters(), 1e-3);
+  std::vector<nn::Tensor> grads = nn::zero_gradients(model.parameters());
+  nn::InferenceWorkspace workspace;
+  const nn::NllLoss loss;
   std::size_t i = 0;
   for (auto _ : state) {
     const acfg::Acfg& sample = d.samples[i++ % d.size()];
-    nn::NllLoss loss;
-    loss.forward(model.forward(sample), static_cast<std::size_t>(sample.label));
-    model.backward(loss.backward());
+    const auto label = static_cast<std::size_t>(sample.label);
+    nn::Tape tape(i);  // seeded: training semantics, dropout active
+    const nn::Tensor log_probs =
+        model.forward(core::GraphBatch::pack(std::span(&sample, 1)), workspace, &tape);
+    const nn::Tensor row = log_probs.reshape({log_probs.dim(1)});
+    loss.forward(row, label);
+    model.backward(loss.backward(row, label).reshape(log_probs.shape()), tape, grads);
     if (i % 10 == 0) {  // batch size 10 as in the best MSKCFG model
-      adam.step();
-      adam.zero_grad();
+      adam.step(grads);
+      for (nn::Tensor& g : grads) g.fill(0.0);
     }
   }
 }
 BENCHMARK(BM_TrainingPerInstance)->Unit(benchmark::kMillisecond);
 
-/// Prediction: eval-mode forward pass per instance.
+/// Prediction: one inference forward (no tape) per instance.
 void BM_PredictionPerInstance(benchmark::State& state) {
   const data::Dataset& d = small_dataset();
-  core::DgcnnModel model = make_model(d);
-  model.set_training(false);
+  const core::DgcnnModel model = make_model(d);
+  nn::InferenceWorkspace workspace;
   std::size_t i = 0;
   for (auto _ : state) {
     const acfg::Acfg& sample = d.samples[i++ % d.size()];
-    benchmark::DoNotOptimize(model.forward(sample));
+    benchmark::DoNotOptimize(
+        model.forward(core::GraphBatch::pack(std::span(&sample, 1)), workspace));
   }
 }
 BENCHMARK(BM_PredictionPerInstance)->Unit(benchmark::kMillisecond);

@@ -4,14 +4,19 @@
 Enforces repo-wide invariants that clang-tidy and -Wthread-safety cannot
 express (they are project conventions, not C++ rules):
 
-  forward-contract   Every concrete nn::Module::forward body opens with a
-                     shape contract (MAGIC_SHAPE_CONTRACT* or
-                     check_shape_contract) within the first few lines.
+  forward-contract   Every `Tensor X::forward` definition (each nn::Module,
+                     the graph stages, DgcnnModel) opens with a shape
+                     contract (MAGIC_SHAPE_CONTRACT* or check_shape_contract)
+                     within the first few lines. Fails too when it matches
+                     no definition under src/nn, so a rename cannot switch
+                     it off silently.
   conv-op-contract   The graph-convolution operator zoo (src/nn/graph_conv*)
                      keeps the shape-contract-at-forward invariant on EVERY
-                     operator entry point, including the void-returning
-                     fused path forward_inference_into that forward-contract
-                     (which matches only `Tensor X::forward`) cannot see.
+                     operator forward, including the void-returning ones
+                     that write into a slice of Z^{1:h} and that
+                     forward-contract (which matches only `Tensor
+                     X::forward`) cannot see. Fails too when it matches no
+                     definition.
   mutex-annotation   No raw std::mutex member anywhere in src/ (util::Mutex
                      is the only allowed mutex type; it carries the
                      -Wthread-safety capability). Every util::Mutex
@@ -46,6 +51,12 @@ express (they are project conventions, not C++ rules):
                      a caller-owned InferenceWorkspace, and a mutable member
                      would be per-call state hidden behind const (a data
                      race once several threads score on one model).
+  no-module-state    No class under src/nn/ that declares a forward has a
+                     Tensor, Shape, util::Rng or vector-of-index/double/
+                     Tensor data member unless it is `const`
+                     (construction-time configuration); its weights are
+                     Parameters. Whatever a forward must hand to its
+                     backward goes on the caller's nn::Tape.
   one-protocol       The magicd wire protocol has one copy, serve::Session:
                      `case wire::Request::Kind::` labels appear only in
                      src/serve/session.cpp. A request-kind switch anywhere
@@ -76,6 +87,7 @@ ALL_RULES = (
     "header-standalone",
     "simd-intrinsics",
     "no-mutable-state",
+    "no-module-state",
     "one-protocol",
 )
 
@@ -144,68 +156,76 @@ def effective_window(lines: list[str], start: int, count: int) -> str:
     return "\n".join(taken)
 
 
-def check_forward_contract(src: Path) -> list[Finding]:
-    """Every `Tensor X::forward(` definition opens with a shape contract."""
+def check_contract_openings(src: Path, rule: str, sig: re.Pattern,
+                            scope: str, what: str) -> list[Finding]:
+    """Every definition matching `sig` in a .cpp whose src-relative path
+    starts with `scope` opens with a shape contract. A rule that matches no
+    definition under src/nn has been switched off (e.g. by a rename) and
+    fails as well."""
     findings = []
-    sig = re.compile(r"\bTensor\s+(\w+)::forward\s*\(")
-    for path in iter_sources(src, (".cpp",)):
-        lines = path.read_text().splitlines()
-        for i, line in enumerate(lines):
-            match = sig.search(strip_line_comment(line))
-            if not match:
-                continue
-            window = effective_window(lines, i, CONTRACT_WINDOW_LINES)
-            if "magic-lint: no-contract(" in window:
-                continue
-            if not any(token in window for token in CONTRACT_TOKENS):
-                findings.append(
-                    Finding(
-                        "forward-contract",
-                        path,
-                        i + 1,
-                        f"{match.group(1)}::forward does not open with a shape "
-                        "contract (MAGIC_SHAPE_CONTRACT/check_shape_contract "
-                        f"within the first {CONTRACT_WINDOW_LINES} code lines)",
-                    )
-                )
-    return findings
-
-
-def check_conv_op_contract(src: Path) -> list[Finding]:
-    """Every operator entry point in src/nn/graph_conv* opens with a shape
-    contract. Unlike forward-contract this also covers
-    `void X::forward_inference_into(` — the fused inference path writes
-    through a raw pointer, so a missing contract there corrupts memory
-    instead of throwing."""
-    findings = []
-    sig = re.compile(
-        r"\b(?:Tensor|void)\s+(\w+)::(forward|forward_inference_into)\s*\("
-    )
+    matched_in_nn = 0
     for path in iter_sources(src, (".cpp",)):
         rel = path.relative_to(src).as_posix()
-        if not rel.startswith("nn/graph_conv"):
+        if not rel.startswith(scope):
             continue
         lines = path.read_text().splitlines()
         for i, line in enumerate(lines):
             match = sig.search(strip_line_comment(line))
             if not match:
                 continue
+            if rel.startswith("nn/"):
+                matched_in_nn += 1
             window = effective_window(lines, i, CONTRACT_WINDOW_LINES)
             if "magic-lint: no-contract(" in window:
                 continue
             if not any(token in window for token in CONTRACT_TOKENS):
                 findings.append(
                     Finding(
-                        "conv-op-contract",
+                        rule,
                         path,
                         i + 1,
-                        f"{match.group(1)}::{match.group(2)} does not open "
-                        "with a shape contract (every GraphConvOp entry "
-                        "point must check its input within the first "
+                        f"{match.group(1)}::forward does not open with a shape "
+                        f"contract ({what} within the first "
                         f"{CONTRACT_WINDOW_LINES} code lines)",
                     )
                 )
+    if matched_in_nn == 0:
+        findings.append(
+            Finding(
+                rule,
+                src / "nn",
+                0,
+                f"matched no forward definition under src/{scope or 'nn/'}: the "
+                "entry points were renamed or moved, update the rule",
+            )
+        )
     return findings
+
+
+def check_forward_contract(src: Path) -> list[Finding]:
+    """Every `Tensor X::forward(` definition opens with a shape contract."""
+    return check_contract_openings(
+        src,
+        "forward-contract",
+        re.compile(r"\bTensor\s+(\w+)::forward\s*\("),
+        "",
+        "MAGIC_SHAPE_CONTRACT/check_shape_contract",
+    )
+
+
+def check_conv_op_contract(src: Path) -> list[Finding]:
+    """Every operator forward in src/nn/graph_conv* opens with a shape
+    contract. Unlike forward-contract this also covers the void-returning
+    operator forwards: they write through a raw pointer into a slice of
+    Z^{1:h}, so a missing contract there corrupts memory instead of
+    throwing."""
+    return check_contract_openings(
+        src,
+        "conv-op-contract",
+        re.compile(r"\b(?:Tensor|void)\s+(\w+)::forward\s*\("),
+        "nn/graph_conv",
+        "every GraphConvOp forward must check its input",
+    )
 
 
 def check_mutex_annotation(src: Path) -> list[Finding]:
@@ -388,6 +408,65 @@ def check_no_mutable_state(src: Path) -> list[Finding]:
     return findings
 
 
+def check_no_module_state(src: Path) -> list[Finding]:
+    """No per-call state in src/nn classes that declare a forward: a Tensor,
+    Shape, util::Rng or std::vector of indices, doubles or Tensors data
+    member must be `const`
+    (construction-time configuration). Members are the declarations at the
+    class body's own brace depth, so locals inside inline member functions
+    do not count."""
+    findings = []
+    member = re.compile(
+        r"^\s*(const\s+)?"
+        r"(?:(?:tensor::)?(?:Tensor|Shape)|(?:util::)?Rng"
+        r"|std::vector<\s*(?:(?:std::)?size_t|double|(?:tensor::)?Tensor)\s*>)"
+        r"\s+(\w+)\s*(?:;|=|\{)"
+    )
+    class_open = re.compile(r"^\s*(?:class|struct)\s+(\w+)\b[^;]*$")
+    for path in iter_sources(src, (".hpp",)):
+        rel = path.relative_to(src).as_posix()
+        if not rel.startswith("nn/"):
+            continue
+        depth = 0
+        pending = None  # a class head whose `{` has not been seen yet
+        classes = []    # open class bodies: [name, body depth, forward?, members]
+        for i, raw in enumerate(path.read_text().splitlines()):
+            code = strip_line_comment(raw)
+            if classes and classes[-1][1] == depth:
+                if re.search(r"\bforward\s*\(", code):
+                    classes[-1][2] = True
+                match = member.match(code)
+                if match and not match.group(1):
+                    classes[-1][3].append((i + 1, match.group(2)))
+            head = class_open.match(code)
+            if head:
+                pending = head.group(1)
+            for ch in code:
+                if ch == "{":
+                    depth += 1
+                    if pending is not None:
+                        classes.append([pending, depth, False, []])
+                        pending = None
+                elif ch == "}":
+                    if classes and classes[-1][1] == depth:
+                        name, _, has_forward, members = classes.pop()
+                        if has_forward:
+                            for line, field in members:
+                                findings.append(
+                                    Finding(
+                                        "no-module-state",
+                                        path,
+                                        line,
+                                        f"{name}::{field} is per-call state in a "
+                                        "module: put what backward needs on the "
+                                        "caller's nn::Tape (or make the member "
+                                        "const construction-time configuration)",
+                                    )
+                                )
+                    depth -= 1
+    return findings
+
+
 def check_one_protocol(src: Path) -> list[Finding]:
     """Request-kind case labels live only in serve::Session."""
     findings = []
@@ -477,6 +556,8 @@ def main() -> int:
         findings += check_simd_intrinsics(src)
     if "no-mutable-state" in rules:
         findings += check_no_mutable_state(src)
+    if "no-module-state" in rules:
+        findings += check_no_module_state(src)
     if "one-protocol" in rules:
         findings += check_one_protocol(src)
     if "header-standalone" in rules and not args.skip_headers:

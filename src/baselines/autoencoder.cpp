@@ -25,6 +25,9 @@ void AutoencoderGbt::fit(const ml::FeatureMatrix& data, std::size_t num_classes)
   std::vector<nn::Parameter*> params = encoder.parameters();
   for (auto* p : decoder.parameters()) params.push_back(p);
   nn::Adam adam(params, options_.learning_rate);
+  std::vector<nn::Tensor> grads = nn::zero_gradients(params);
+  const nn::Gradients all(grads);
+  const nn::Gradients encoder_grads = all.first(2), decoder_grads = all.last(2);
 
   std::vector<std::size_t> order(scaled.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -34,11 +37,12 @@ void AutoencoderGbt::fit(const ml::FeatureMatrix& data, std::size_t num_classes)
     rng.shuffle(order);
     double total = 0.0;
     for (std::size_t i : order) {
-      nn::Tensor x({d}, scaled[i]);
-      nn::Tensor latent = enc_act.forward(encoder.forward(x));
-      nn::Tensor recon = decoder.forward(latent);
+      const nn::Tensor x({1, d}, scaled[i]);
+      nn::Tape tape;
+      const nn::Tensor recon =
+          decoder.forward(enc_act.forward(encoder.forward(x, &tape), &tape), &tape);
       // MSE loss: L = mean((recon - x)^2); dL/drecon = 2 (recon - x) / d.
-      nn::Tensor grad({d});
+      nn::Tensor grad({1, d});
       double loss = 0.0;
       for (std::size_t j = 0; j < d; ++j) {
         const double diff = recon[j] - x[j];
@@ -46,9 +50,11 @@ void AutoencoderGbt::fit(const ml::FeatureMatrix& data, std::size_t num_classes)
         grad[j] = 2.0 * diff / static_cast<double>(d);
       }
       total += loss / static_cast<double>(d);
-      adam.zero_grad();
-      encoder.backward(enc_act.backward(decoder.backward(grad)));
-      adam.step();
+      for (nn::Tensor& g : grads) g.fill(0.0);
+      encoder.backward(
+          enc_act.backward(decoder.backward(std::move(grad), tape, decoder_grads), tape, {}),
+          tape, encoder_grads);
+      adam.step(grads);
     }
     last_mse = total / static_cast<double>(order.size());
   }

@@ -73,7 +73,7 @@ std::vector<Prediction> MagicClassifier::predict_packed(
   // unique_ptr does not propagate const: score through a const reference
   // so the compiler checks that inference never mutates the model.
   const DgcnnModel& model = *model_;
-  const nn::Tensor log_probs = model.predict_batch(batch, workspace);  // (N x classes)
+  const nn::Tensor log_probs = model.forward(batch, workspace);  // (N x classes)
   const std::size_t classes = log_probs.dim(1);
   std::vector<Prediction> preds;
   preds.reserve(batch.size());
@@ -145,26 +145,19 @@ Prediction MagicClassifier::predict_listing(std::string_view listing) const {
   return predict(acfg::extract_acfg_from_listing(listing));
 }
 
-Explanation MagicClassifier::explain(const acfg::Acfg& sample) {
+Explanation MagicClassifier::explain(const acfg::Acfg& sample) const {
   if (!fitted()) throw std::logic_error("MagicClassifier::explain: not fitted");
-  // Save parameter grads so an explain() during a training loop is harmless.
-  auto params = model_->parameters();
-  std::vector<nn::Tensor> saved_grads;
-  saved_grads.reserve(params.size());
-  for (auto* p : params) saved_grads.push_back(p->grad);
-
-  model_->set_training(false);
-  // Saliency needs an eval-mode backward: eval disables grad caching, so
-  // re-enable it for this forward/backward pair.
-  model_->set_grad_enabled(true);
-  const nn::Tensor log_probs = model_->forward(sample);
+  const DgcnnModel& model = *model_;
+  nn::InferenceWorkspace workspace;
+  nn::Tape tape;  // unseeded: eval semantics, dropout is the identity
+  const nn::Tensor log_probs =
+      model.forward(GraphBatch::pack(std::span(&sample, 1)), workspace, &tape);
   const std::size_t winner = tensor::argmax(log_probs);
   // d(log p_winner)/d(inputs): seed the backward with a one-hot gradient.
   nn::Tensor seed = nn::Tensor::zeros(log_probs.shape());
   seed[winner] = 1.0;
-  model_->backward(seed);
-  model_->set_grad_enabled(false);
-  const nn::Tensor& input_grad = model_->input_gradient();
+  std::vector<nn::Tensor> grads = nn::zero_gradients(model.parameters());
+  const nn::Tensor input_grad = model.backward(seed, tape, grads);
 
   Explanation out;
   out.prediction.family_index = winner;
@@ -196,13 +189,11 @@ Explanation MagicClassifier::explain(const acfg::Acfg& sample) {
   };
   normalize(out.vertex_saliency);
   normalize(out.channel_saliency);
-
-  for (std::size_t i = 0; i < params.size(); ++i) params[i]->grad = saved_grads[i];
   return out;
 }
 
 EvalResult MagicClassifier::evaluate(const data::Dataset& dataset,
-                                     const std::vector<std::size_t>& indices) {
+                                     const std::vector<std::size_t>& indices) const {
   if (!fitted()) throw std::logic_error("MagicClassifier::evaluate: not fitted");
   return evaluate_model(*model_, dataset, indices);
 }

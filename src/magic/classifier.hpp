@@ -9,8 +9,9 @@
 // Inference surface: classify(span, PredictOptions) is the single entry
 // point. It is const and thread-safe: every call packs its graphs into
 // block-diagonal batches and scores them through the one shared model with
-// DgcnnModel::predict_batch, keeping all per-call scratch in workspaces it
-// owns. predict / predict_listing are classify() of one graph.
+// DgcnnModel::forward, keeping all per-call scratch in workspaces it owns.
+// predict / predict_listing are classify() of one graph; explain() and
+// evaluate() are const too.
 
 #include <iosfwd>
 #include <memory>
@@ -105,13 +106,14 @@ class MagicClassifier {
 
   /// Classifies and attributes the verdict to basic blocks / attribute
   /// channels via input gradients (saliency). Analyst triage tooling: "which
-  /// blocks made this look like Kelihos?". Does not disturb training state
-  /// (parameter gradients are restored afterwards).
-  Explanation explain(const acfg::Acfg& sample);
+  /// blocks made this look like Kelihos?". Backpropagates through its own
+  /// eval-semantics tape and gradient buffer, so it reads only the weights
+  /// and any number of threads may explain and classify at once.
+  Explanation explain(const acfg::Acfg& sample) const;
 
   /// Evaluates on dataset[indices].
   EvalResult evaluate(const data::Dataset& dataset,
-                      const std::vector<std::size_t>& indices);
+                      const std::vector<std::size_t>& indices) const;
 
   bool fitted() const noexcept { return model_ != nullptr; }
   const DgcnnConfig& config() const noexcept { return config_; }

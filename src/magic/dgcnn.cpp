@@ -6,7 +6,6 @@
 
 #include "nn/reshape.hpp"
 #include "nn/shape_contract.hpp"
-#include "util/check.hpp"
 
 namespace magic::core {
 
@@ -117,63 +116,17 @@ DgcnnModel::DgcnnModel(DgcnnConfig cfg, util::Rng& rng, std::size_t sort_k_hint)
   head_.emplace<nn::LogSoftmax>();
 }
 
-nn::Tensor DgcnnModel::preprocess(const acfg::Acfg& sample) const {
-  nn::Tensor x = sample.attributes;
-  if (cfg_.log1p_attributes) {
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::log1p(x[i]);
-  }
-  return x;
-}
-
-namespace {
-
-/// RAII clear for the concurrent-forward guard flag (exception safe).
-struct ForwardGuardClear {
-  std::atomic<bool>* flag;
-  ~ForwardGuardClear() { flag->store(false, std::memory_order_release); }
-};
-
-}  // namespace
-
-nn::Tensor DgcnnModel::forward(const acfg::Acfg& sample) {
-#ifdef MAGIC_CHECKED_BUILD
-  // One instance, one thread: forward() caches activations in the layers.
-  // If the flag was already set another thread owns it, so throw *without*
-  // installing the clearing guard.
-  const bool already_running = in_forward_.exchange(true, std::memory_order_acq_rel);
-  MAGIC_CHECK(!already_running,
-              "DgcnnModel::forward: concurrent forward on one model instance; "
-              "score concurrently through predict_batch");
-  ForwardGuardClear forward_guard{&in_forward_};
-#endif
-  if (sample.num_vertices() == 0) {
-    throw std::invalid_argument("DgcnnModel::forward: empty graph");
-  }
-  // The attribute matrix must be (n x input_channels) with one row per
-  // vertex; the contract names the layer on mismatch, the plain throws
-  // below keep invalid input hard errors in unchecked builds too.
-  MAGIC_SHAPE_CONTRACT("DgcnnModel::forward", sample.attributes,
-                       nn::shape::eq(sample.num_vertices()),
+nn::Tensor DgcnnModel::forward(const GraphBatch& batch,
+                               nn::InferenceWorkspace& workspace,
+                               nn::Tape* tape) const {
+  // The packed attribute matrix must be (total x input_channels); the
+  // contract names the model on mismatch, the plain throw below keeps it a
+  // hard error in unchecked builds too.
+  MAGIC_SHAPE_CONTRACT("DgcnnModel::forward", batch.attributes(),
+                       nn::shape::at_least("n", 1),
                        nn::shape::eq(cfg_.input_channels));
-  if (sample.num_channels() != cfg_.input_channels) {
-    throw std::invalid_argument("DgcnnModel::forward: channel mismatch");
-  }
-  last_prop_ = std::make_unique<tensor::SparseMatrix>(
-      cfg_.normalize_propagation
-          ? sample.propagation_operator()
-          : tensor::SparseMatrix::augmented_adjacency(sample.out_edges));
-  const nn::Tensor x = preprocess(sample);
-  const nn::Tensor z = stack_.forward(*last_prop_, x);
-  if (cfg_.pooling == PoolingType::SortPooling) {
-    return head_.forward(sort_pool_->forward(z));
-  }
-  return head_.forward(conv_pool_->forward(z));
-}
-
-nn::Tensor DgcnnModel::predict_batch(const GraphBatch& batch,
-                                     nn::InferenceWorkspace& workspace) const {
   if (batch.num_channels() != cfg_.input_channels) {
-    throw std::invalid_argument("DgcnnModel::predict_batch: channel mismatch");
+    throw std::invalid_argument("DgcnnModel::forward: channel mismatch");
   }
   // Packed preprocessing: log1p is elementwise, so scaling the concatenated
   // attribute matrix equals scaling each graph.
@@ -182,40 +135,35 @@ nn::Tensor DgcnnModel::predict_batch(const GraphBatch& batch,
     for (std::size_t i = 0; i < x.size(); ++i) x[i] = std::log1p(x[i]);
   }
   // One block-diagonal spmm per graph-conv layer covers all N graphs.
-  const tensor::SparseMatrix prop =
-      batch.propagation_operator(cfg_.normalize_propagation);
-  const nn::Tensor z = stack_.forward_inference(prop, x, workspace);
-
-  // The pooling stages sit behind unique_ptrs, which do not propagate
-  // const; going through const references keeps this path compiler-checked.
-  if (cfg_.pooling == PoolingType::SortPooling) {
-    // Per-segment pooling into (N x k x C), then one fused head pass.
-    const nn::SortPooling& sort_pool = *sort_pool_;
-    return head_.forward_batch(sort_pool.forward_packed(z, batch.offsets()));
-  }
-  // AdaptivePooling path: the pre-pool stage reads each graph's rows of the
-  // packed Z in place (their heights differ); the pooled (f x g x g) maps
-  // are fixed-size and batch from there on.
-  const nn::AdaptiveConvPool& conv_pool = *conv_pool_;
-  const std::size_t c = z.dim(1);
-  const std::size_t f = conv_pool.channels();
-  const std::size_t g = conv_pool.grid();
-  nn::Tensor pooled({batch.size(), f, g, g});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    conv_pool.forward_into(z.data() + batch.offset(i) * c, batch.vertices(i), c,
-                           pooled.data() + i * f * g * g);
-  }
-  return head_.forward_batch(pooled);
+  tensor::SparseMatrix prop = batch.propagation_operator(cfg_.normalize_propagation);
+  nn::Tensor z = stack_.forward(prop, x, workspace, tape);
+  // Per-graph pooling to fixed-size maps, then one head pass over the batch.
+  nn::Tensor pooled = sort_pool_ ? sort_pool_->forward(z, batch.offsets(), tape)
+                                 : conv_pool_->forward(std::move(z), batch.offsets(), tape);
+  nn::Tensor log_probs = head_.forward(std::move(pooled), tape);
+  // Backward needs P again: the tape owns it from here on.
+  if (tape != nullptr) tape->push(std::move(prop));
+  return log_probs;
 }
 
-void DgcnnModel::backward(const nn::Tensor& grad_log_probs) {
-  nn::Tensor g = head_.backward(grad_log_probs);
-  if (cfg_.pooling == PoolingType::SortPooling) {
-    g = sort_pool_->backward(g);
-  } else {
-    g = conv_pool_->backward(g);
+nn::Tensor DgcnnModel::backward(const nn::Tensor& grad_log_probs, nn::Tape& tape,
+                                nn::Gradients grads) const {
+  if (grad_log_probs.rank() != 2 || grad_log_probs.dim(0) != 1 ||
+      grad_log_probs.dim(1) != cfg_.num_classes) {
+    throw std::invalid_argument(
+        "DgcnnModel::backward: expected the (1 x classes) gradient of a "
+        "one-graph batch, got " + grad_log_probs.describe());
   }
-  last_input_grad_ = stack_.backward(g);
+  const std::size_t depth = stack_.depth();
+  const std::size_t pool_params = conv_pool_ ? 2 : 0;
+  if (grads.size() < depth + pool_params) {
+    throw std::invalid_argument("DgcnnModel::backward: gradient buffer too small");
+  }
+  const tensor::SparseMatrix prop = tape.pop_operator();
+  nn::Tensor g = head_.backward(grad_log_probs, tape, grads.subspan(depth + pool_params));
+  g = sort_pool_ ? sort_pool_->backward(std::move(g), tape)
+                 : conv_pool_->backward(std::move(g), tape, grads.subspan(depth, 2));
+  return stack_.backward(prop, std::move(g), tape, grads.first(depth));
 }
 
 std::vector<nn::Parameter*> DgcnnModel::parameters() {
@@ -227,21 +175,15 @@ std::vector<nn::Parameter*> DgcnnModel::parameters() {
   return params;
 }
 
-void DgcnnModel::set_training(bool training) {
-  head_.set_training(training);
-  set_grad_enabled(training);
+std::vector<const nn::Parameter*> DgcnnModel::parameters() const {
+  // parameters() only collects pointers; this hands the same list out
+  // read-only.
+  const std::vector<nn::Parameter*> params =
+      const_cast<DgcnnModel*>(this)->parameters();
+  return {params.begin(), params.end()};
 }
 
-void DgcnnModel::set_grad_enabled(bool enabled) {
-  stack_.set_grad_enabled(enabled);
-  if (sort_pool_) sort_pool_->set_grad_enabled(enabled);
-  if (conv_pool_) conv_pool_->set_grad_enabled(enabled);
-  head_.set_grad_enabled(enabled);
-}
-
-void DgcnnModel::reseed_rng(std::uint64_t seed) { head_.reseed_rng(seed); }
-
-std::size_t DgcnnModel::parameter_count() {
+std::size_t DgcnnModel::parameter_count() const {
   std::size_t total = 0;
   for (auto* p : parameters()) total += p->value.size();
   return total;

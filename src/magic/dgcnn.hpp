@@ -4,15 +4,17 @@
 //  Conv2D -> AdaptiveMaxPooling -> VGG-style Conv2D stack} -> MLP ->
 // LogSoftmax.
 //
+// The model is a const function of its weights with one forward and one
+// backward. forward() scores a packed block-diagonal batch of N graphs in
+// one pass (see magic/graph_batch.hpp), keeping its per-call scratch in a
+// caller-owned nn::InferenceWorkspace; given an nn::Tape it also records
+// what backward() needs, so training runs the very forward inference runs.
 // Training processes one graph at a time (CFGs vary in size); batching is
-// gradient accumulation across consecutive forward/backward calls, which is
-// mathematically identical to minibatch SGD for a sum loss. Inference is
-// predict_batch(): a const, packed block-diagonal forward that scores N
-// graphs in one pass (see magic/graph_batch.hpp) and keeps its per-call
-// scratch in a caller-owned nn::InferenceWorkspace.
+// gradient accumulation across consecutive backward calls, which is
+// mathematically identical to minibatch SGD for a sum loss.
 
-#include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,64 +105,37 @@ class DgcnnModel {
   /// from the training distribution; MagicClassifier does this for you).
   DgcnnModel(DgcnnConfig cfg, util::Rng& rng, std::size_t sort_k_hint = 16);
 
-  /// Log-probabilities over families for one graph: the training-time
-  /// path.
+  /// Log-probabilities for every graph in `batch`, shape (N x num_classes).
   ///
-  /// NOT const and NOT thread-safe: activations are cached in the layers
-  /// for backward(), so one model instance must be driven by at most one
-  /// thread at a time. Checked builds enforce the contract: a concurrent
-  /// entry throws util::CheckError. Concurrent scoring uses predict_batch.
-  nn::Tensor forward(const acfg::Acfg& sample);
+  /// Reads only the weights: every per-call buffer lives in `workspace`
+  /// and, with a tape, every record backward() needs (the propagation
+  /// operator included) on `tape`. Any number of threads may call this at
+  /// once, each with its own workspace and tape, while no thread mutates
+  /// the parameters. A seeded tape trains (dropout masks from its seed); an
+  /// unseeded tape or none evaluates.
+  nn::Tensor forward(const GraphBatch& batch, nn::InferenceWorkspace& workspace,
+                     nn::Tape* tape = nullptr) const;
 
-  /// Packed-batch inference: log-probabilities for every graph in `batch`,
-  /// shape (N x num_classes), row i matching eval-mode forward(graphs[i])
-  /// to within floating-point reassociation (bitwise for a pack of one on
-  /// the AdaptivePooling path).
-  ///
-  /// Const and modeless: eval semantics whatever set_training says, reads
-  /// only the weights, and leaves forward()'s caches untouched, so it may
-  /// run between a training forward() and its backward(). Every per-call
-  /// buffer lives in `workspace`; any number of threads may call this at
-  /// once, each with its own workspace, while no thread mutates the model.
-  nn::Tensor predict_batch(const GraphBatch& batch,
-                           nn::InferenceWorkspace& workspace) const;
+  /// Backward through a tape recorded over a one-graph batch, from
+  /// d(loss)/d(log_probs) (1 x num_classes): adds the parameter gradients
+  /// into `grads` (parameters() order) and returns d(loss)/d(attributes)
+  /// in the preprocessed (post-log1p) space, shape (n x channels), the
+  /// basis of per-block saliency (MagicClassifier::explain). A tape
+  /// recorded over more than one graph throws std::invalid_argument.
+  nn::Tensor backward(const nn::Tensor& grad_log_probs, nn::Tape& tape,
+                      nn::Gradients grads) const;
 
-  /// True while a forward() is in flight (the checked-mode concurrency
-  /// guard's flag; test/diagnostic hook).
-  bool forward_in_flight() const noexcept {
-    return in_forward_.load(std::memory_order_acquire);
-  }
-
-  /// Backward from d(loss)/d(log_probs); accumulates parameter grads.
-  void backward(const nn::Tensor& grad_log_probs);
-
-  /// d(loss)/d(attribute matrix) from the last backward(), in the
-  /// preprocessed (post-log1p) attribute space. Shape (n x channels).
-  /// Basis of per-block saliency attribution (MagicClassifier::explain).
-  const nn::Tensor& input_gradient() const noexcept { return last_input_grad_; }
-
+  /// Every learnable tensor, in checkpoint order.
   std::vector<nn::Parameter*> parameters();
-  /// Also toggles grad caching: eval mode (false) skips the backward caches
-  /// in every layer, so forward is allocation-lighter and a subsequent
-  /// backward throws std::logic_error. Callers needing eval-mode gradients
-  /// (saliency) re-enable via set_grad_enabled(true) after set_training.
-  void set_training(bool training);
-  /// Toggles backward caching independently of train/eval statistics mode.
-  void set_grad_enabled(bool enabled);
-  /// Reseeds every stochastic module (Dropout) so the mask stream depends
-  /// only on the seed, not on how many samples this instance processed.
-  /// The parallel trainer derives the seed from (run seed, epoch, sample).
-  void reseed_rng(std::uint64_t seed);
+  std::vector<const nn::Parameter*> parameters() const;
 
   const DgcnnConfig& config() const noexcept { return cfg_; }
   std::size_t sort_k() const noexcept { return sort_k_; }
 
   /// Total scalar parameter count.
-  std::size_t parameter_count();
+  std::size_t parameter_count() const;
 
  private:
-  nn::Tensor preprocess(const acfg::Acfg& sample) const;
-
   DgcnnConfig cfg_;
   std::size_t sort_k_ = 0;
   nn::GraphConvStack stack_;
@@ -172,13 +147,6 @@ class DgcnnModel {
 
   // Everything after pooling, expressed over reshaped tensors.
   nn::Sequential head_;
-
-  // The propagation operator must outlive backward.
-  std::unique_ptr<tensor::SparseMatrix> last_prop_;
-  nn::Tensor last_input_grad_;
-
-  // Checked-mode guard against concurrent forward() calls on one instance.
-  std::atomic<bool> in_forward_{false};
 };
 
 }  // namespace magic::core

@@ -27,6 +27,7 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "magic/classifier.hpp"
 
@@ -98,7 +99,7 @@ void MagicClassifier::save(std::ostream& os) const {
   for (std::size_t ch : c.graph_conv_channels) os << " " << ch;
   os << "\n";
 
-  auto params = const_cast<DgcnnModel*>(model_.get())->parameters();
+  const auto params = std::as_const(*model_).parameters();
   os << "params " << params.size() << "\n";
   os.precision(std::numeric_limits<double>::max_digits10);
   for (const nn::Parameter* p : params) {

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
-#include "util/check.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
@@ -50,33 +51,57 @@ std::size_t resolve_threads(std::size_t requested) {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+/// Scores dataset[indices] one graph per forward, position p on lane
+/// p % lanes with that lane's workspace (one lane per workspace; `pool`
+/// non-null when there is more than one). Rows are stored by position and
+/// the confusion is rebuilt serially, so the result does not depend on the
+/// lane count.
+EvalResult evaluate_lanes(const DgcnnModel& model, const data::Dataset& dataset,
+                          const std::vector<std::size_t>& indices,
+                          std::vector<nn::InferenceWorkspace>& workspaces,
+                          util::ThreadPool* pool) {
+  EvalResult result{0.0, ml::ConfusionMatrix(dataset.num_families()), {}, {}};
+  const std::size_t n = indices.size();
+  result.probabilities.assign(n, {});
+  result.labels.assign(n, 0);
+  const std::size_t lanes = std::min(workspaces.size(), std::max<std::size_t>(1, n));
+  auto score_lane = [&](std::size_t lane) {
+    for (std::size_t pos = lane; pos < n; pos += lanes) {
+      const acfg::Acfg& sample = dataset.samples[indices[pos]];
+      const nn::Tensor p = nn::exp_probs(
+          model.forward(GraphBatch::pack(std::span(&sample, 1)), workspaces[lane]));
+      result.probabilities[pos].assign(p.data(), p.data() + p.size());
+      result.labels[pos] = static_cast<std::size_t>(sample.label);
+    }
+  };
+  if (lanes <= 1 || pool == nullptr) {
+    score_lane(0);
+  } else {
+    pool->parallel_for(lanes, score_lane);
+  }
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const auto& row = result.probabilities[pos];
+    // First maximum wins, exactly like tensor::argmax.
+    std::size_t winner = 0;
+    for (std::size_t j = 1; j < row.size(); ++j) {
+      if (row[j] > row[winner]) winner = j;
+    }
+    result.confusion.add(result.labels[pos], winner);
+  }
+  result.mean_log_loss = ml::mean_log_loss(result.probabilities, result.labels);
+  return result;
+}
+
 }  // namespace
 
 ParallelTrainer::ParallelTrainer(DgcnnModel& model, const data::Dataset& dataset,
                                  const TrainOptions& options)
-    : master_(model),
+    : model_(model),
+      params_(model.parameters()),
       dataset_(dataset),
       options_(options),
-      threads_(resolve_threads(options.threads)) {
-  master_params_ = master_.parameters();
-
-  // Replicas are structural clones: same config with sort_k pinned so the
-  // derived-k path cannot diverge, parameter values synced from the master.
-  DgcnnConfig replica_cfg = master_.config();
-  replica_cfg.sort_k = master_.sort_k();
-  replicas_.reserve(threads_);
-  replica_params_.reserve(threads_);
-  for (std::size_t r = 0; r < threads_; ++r) {
-    util::Rng init_rng(0x9E3779B9u + r);  // overwritten by sync_replicas
-    replicas_.push_back(std::make_unique<DgcnnModel>(replica_cfg, init_rng,
-                                                     master_.sort_k()));
-    replica_params_.push_back(replicas_.back()->parameters());
-    MAGIC_CHECK(replica_params_.back().size() == master_params_.size(),
-                "ParallelTrainer: replica parameter count "
-                    << replica_params_.back().size() << " != master "
-                    << master_params_.size());
-  }
-  sync_replicas();
+      threads_(resolve_threads(options.threads)),
+      workspaces_(threads_) {
   if (threads_ > 1) {
     // parallel_for's caller participates, so threads_ - 1 workers give
     // exactly threads_ concurrent lanes.
@@ -84,52 +109,31 @@ ParallelTrainer::ParallelTrainer(DgcnnModel& model, const data::Dataset& dataset
   }
 }
 
-void ParallelTrainer::sync_replicas() {
-  for (std::size_t r = 0; r < replicas_.size(); ++r) {
-    for (std::size_t i = 0; i < master_params_.size(); ++i) {
-      replica_params_[r][i]->value = master_params_[i]->value;
-    }
-  }
-}
-
-void ParallelTrainer::run_slot(std::size_t replica, std::size_t slot,
+void ParallelTrainer::run_slot(std::size_t lane, std::size_t slot,
                                const std::vector<std::size_t>& order,
                                std::size_t begin, std::size_t epoch) {
-  DgcnnModel& model = *replicas_[replica];
-  auto& params = replica_params_[replica];
   const std::size_t position = begin + slot;
   const acfg::Acfg& sample = dataset_.samples[order[position]];
+  const auto label = static_cast<std::size_t>(sample.label);
+  std::vector<nn::Tensor>& grads = slot_grads_[slot];
+  for (nn::Tensor& g : grads) g.fill(0.0);
 
   // The dropout stream is a function of (seed, epoch, position) only, so
-  // masks are independent of the worker that drew them.
-  model.reseed_rng(per_sample_seed(options_.seed, epoch, position));
-  for (nn::Parameter* p : params) p->grad.fill(0.0);
-
-  nn::NllLoss loss;
-  if (timing_) {
-    // Per-slot accumulators, no shared state: workers never contend on the
-    // timing path, and the clock is only read while obs is enabled.
-    util::Timer timer;
-    const nn::Tensor log_probs = model.forward(sample);
-    slot_forward_ms_[slot] = timer.millis();
-    slot_loss_[slot] =
-        loss.forward(log_probs, static_cast<std::size_t>(sample.label));
-    timer.reset();
-    model.backward(loss.backward());
-    slot_backward_ms_[slot] = timer.millis();
-  } else {
-    const nn::Tensor log_probs = model.forward(sample);
-    slot_loss_[slot] =
-        loss.forward(log_probs, static_cast<std::size_t>(sample.label));
-    model.backward(loss.backward());
-  }
-
-  // Hand the per-sample gradients to the reducer without copying; the slot
-  // buffer (same shapes, contents stale) becomes the replica's next grad
-  // storage and is zeroed above before reuse.
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    std::swap(params[i]->grad, slot_grads_[slot][i]);
-  }
+  // masks are independent of the lane that drew them.
+  nn::Tape tape(per_sample_seed(options_.seed, epoch, position));
+  // Per-slot accumulators, no shared state: lanes never contend on the
+  // timing path, and the clock is only read while obs is enabled.
+  std::optional<util::Timer> timer;
+  if (timing_) timer.emplace();
+  const GraphBatch batch = GraphBatch::pack(std::span(&sample, 1));
+  const nn::Tensor log_probs = model_.forward(batch, workspaces_[lane], &tape);
+  if (timer) slot_forward_ms_[slot] = timer->millis();
+  const nn::Tensor row = log_probs.reshape({log_probs.dim(1)});
+  const nn::NllLoss loss;
+  slot_loss_[slot] = loss.forward(row, label);
+  if (timer) timer->reset();
+  model_.backward(loss.backward(row, label).reshape(log_probs.shape()), tape, grads);
+  if (timer) slot_backward_ms_[slot] = timer->millis();
 }
 
 void ParallelTrainer::run_chunk(const std::vector<std::size_t>& order,
@@ -156,29 +160,25 @@ TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices
     throw std::invalid_argument("train_model: empty training set");
   }
   util::Rng rng(options_.seed);
-  nn::Adam optimizer(master_params_, options_.learning_rate, 0.9, 0.999, 1e-8,
+  nn::Adam optimizer(params_, options_.learning_rate, 0.9, 0.999, 1e-8,
                      options_.weight_decay);
   nn::ReduceLrOnPlateau scheduler(optimizer, options_.lr_patience,
                                   options_.lr_factor);
 
-  // Per-slot gradient buffers sized to the largest minibatch; allocated
-  // once here, recycled by pointer swaps for the rest of the run.
-  max_chunk_ = options_.batch_size == 0
-                   ? train_indices.size()
-                   : std::min(options_.batch_size, train_indices.size());
-  slot_grads_.assign(max_chunk_, {});
-  for (auto& slot : slot_grads_) {
-    slot.reserve(master_params_.size());
-    for (nn::Parameter* p : master_params_) {
-      slot.push_back(nn::Tensor::zeros(p->value.shape()));
-    }
-  }
-  slot_loss_.assign(max_chunk_, 0.0);
+  // Per-slot gradient buffers sized to the largest minibatch, and the
+  // buffer they reduce into; allocated once here, zeroed and reused for the
+  // rest of the run.
+  const std::size_t max_chunk =
+      options_.batch_size == 0 ? train_indices.size()
+                               : std::min(options_.batch_size, train_indices.size());
+  slot_grads_.assign(max_chunk, nn::zero_gradients(params_));
+  std::vector<nn::Tensor> reduced = nn::zero_gradients(params_);
+  slot_loss_.assign(max_chunk, 0.0);
   if constexpr (kObsCompiled) {
     timing_ = obs::enabled();
     if (timing_) {
-      slot_forward_ms_.assign(max_chunk_, 0.0);
-      slot_backward_ms_.assign(max_chunk_, 0.0);
+      slot_forward_ms_.assign(max_chunk, 0.0);
+      slot_backward_ms_.assign(max_chunk, 0.0);
     }
   }
 
@@ -212,7 +212,6 @@ TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices
   }
 
   for (std::size_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    for (auto& replica : replicas_) replica->set_training(true);
     if (options_.balance_families && !by_family.empty()) {
       for (auto& idx : order) {
         const auto& pool = by_family[rng.weighted_index(family_draw_weights)];
@@ -227,9 +226,8 @@ TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices
     double forward_ms = 0.0, backward_ms = 0.0, reduce_ms = 0.0,
            optimizer_ms = 0.0;
     util::Timer epoch_timer;  // read only while timing_
-    optimizer.zero_grad();
-    for (std::size_t begin = 0; begin < order.size(); begin += max_chunk_) {
-      const std::size_t end = std::min(begin + max_chunk_, order.size());
+    for (std::size_t begin = 0; begin < order.size(); begin += max_chunk) {
+      const std::size_t end = std::min(begin + max_chunk, order.size());
       run_chunk(order, begin, end, epoch);
       if constexpr (kObsCompiled) {
         if (timing_) {
@@ -244,17 +242,16 @@ TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices
       // every thread count.
       for (std::size_t slot = 0; slot < end - begin; ++slot) {
         epoch_loss += slot_loss_[slot];
-        for (std::size_t i = 0; i < master_params_.size(); ++i) {
-          master_params_[i]->grad += slot_grads_[slot][i];
+        for (std::size_t i = 0; i < reduced.size(); ++i) {
+          reduced[i] += slot_grads_[slot][i];
         }
       }
       if constexpr (kObsCompiled) {
         if (timing_) reduce_ms += phase_timer.millis();
       }
       phase_timer.reset();
-      optimizer.step();
-      optimizer.zero_grad();
-      sync_replicas();
+      optimizer.step(reduced);
+      for (nn::Tensor& g : reduced) g.fill(0.0);
       if constexpr (kObsCompiled) {
         if (timing_) optimizer_ms += phase_timer.millis();
       }
@@ -283,7 +280,8 @@ TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices
     stats.train_loss = epoch_loss / static_cast<double>(order.size());
     if (!val_indices.empty()) {
       util::Timer validation_timer;
-      EvalResult eval = evaluate(val_indices);
+      const EvalResult eval =
+          evaluate_lanes(model_, dataset_, val_indices, workspaces_, pool_.get());
       if constexpr (kObsCompiled) {
         if (timing_) {
           obs::MetricsRegistry::global()
@@ -302,7 +300,7 @@ TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices
       result.best_epoch = epoch;
       if (snapshotting) {
         best_snapshot.clear();
-        for (nn::Parameter* p : master_params_) best_snapshot.push_back(p->value);
+        for (nn::Parameter* p : params_) best_snapshot.push_back(p->value);
       }
     }
     scheduler.observe(stats.validation_loss);
@@ -316,60 +314,22 @@ TrainResult ParallelTrainer::train(const std::vector<std::size_t>& train_indices
     result.history.push_back(stats);
   }
   if (snapshotting && !best_snapshot.empty()) {
-    for (std::size_t i = 0; i < master_params_.size(); ++i) {
-      master_params_[i]->value = best_snapshot[i];
+    for (std::size_t i = 0; i < params_.size(); ++i) {
+      params_[i]->value = best_snapshot[i];
     }
   }
-  master_.set_training(false);
   return result;
 }
 
-EvalResult ParallelTrainer::evaluate(const std::vector<std::size_t>& indices) {
-  for (auto& replica : replicas_) replica->set_training(false);
-  EvalResult result{0.0, ml::ConfusionMatrix(dataset_.num_families()), {}, {}};
-  const std::size_t n = indices.size();
-  result.probabilities.assign(n, {});
-  result.labels.assign(n, 0);
-  const std::size_t lanes = std::min(threads_, n == 0 ? std::size_t{1} : n);
-
-  auto score_range = [&](std::size_t r, std::size_t stride) {
-    DgcnnModel& model = *replicas_[r];
-    for (std::size_t pos = r; pos < n; pos += stride) {
-      const acfg::Acfg& sample = dataset_.samples[indices[pos]];
-      const nn::Tensor log_probs = model.forward(sample);
-      const nn::Tensor p = nn::exp_probs(log_probs);
-      result.probabilities[pos].assign(p.data(), p.data() + p.size());
-      result.labels[pos] = static_cast<std::size_t>(sample.label);
-    }
-  };
-  if (lanes <= 1 || !pool_) {
-    score_range(0, 1);
-  } else {
-    pool_->parallel_for(lanes, [&](std::size_t r) { score_range(r, lanes); });
-  }
-  // Confusion is rebuilt serially in sample order, so the result matches
-  // the serial evaluate_model exactly.
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    std::size_t winner = 0;
-    const auto& row = result.probabilities[pos];
-    for (std::size_t j = 1; j < row.size(); ++j) {
-      if (row[j] > row[winner]) winner = j;
-    }
-    result.confusion.add(result.labels[pos], winner);
-  }
-  result.mean_log_loss = ml::mean_log_loss(result.probabilities, result.labels);
-  return result;
-}
-
-EvalResult evaluate_model(DgcnnModel& model, const data::Dataset& dataset,
+EvalResult evaluate_model(const DgcnnModel& model, const data::Dataset& dataset,
                           const std::vector<std::size_t>& indices,
                           std::size_t threads) {
-  const std::size_t resolved = resolve_threads(threads);
-  if (resolved <= 1) return evaluate_model(model, dataset, indices);
-  TrainOptions options;
-  options.threads = resolved;
-  ParallelTrainer trainer(model, dataset, options);
-  return trainer.evaluate(indices);
+  const std::size_t lanes =
+      std::min(resolve_threads(threads), std::max<std::size_t>(1, indices.size()));
+  std::vector<nn::InferenceWorkspace> workspaces(lanes);
+  std::unique_ptr<util::ThreadPool> pool;
+  if (lanes > 1) pool = std::make_unique<util::ThreadPool>(lanes - 1);
+  return evaluate_lanes(model, dataset, indices, workspaces, pool.get());
 }
 
 }  // namespace magic::core

@@ -1,22 +1,25 @@
 #pragma once
 // Data-parallel minibatch training engine (DESIGN.md "Training performance").
 //
-// Each minibatch fans per-graph forward/backward across model replicas on a
-// util::ThreadPool; per-sample gradients land in preallocated per-slot
-// buffers and are reduced into the master parameters in fixed sample-index
-// order. Floating-point addition is not associative, so determinism comes
-// from making EVERY thread count (including 1) use the same reduction
-// structure: the trained parameters and TrainResult.history are bitwise
-// identical for any TrainOptions::threads value.
+// Each minibatch fans per-graph forward/backward across lanes on a
+// util::ThreadPool. Every lane reads the one model through a const
+// reference and records its sample on its own nn::Tape; per-sample
+// gradients land in preallocated per-slot buffers and are reduced in fixed
+// sample-index order before Adam steps the weights. Floating-point addition
+// is not associative, so determinism comes from making EVERY thread count
+// (including 1) use the same reduction structure: the trained parameters
+// and TrainResult.history are bitwise identical for any
+// TrainOptions::threads value.
 //
-// Stochastic modules (Dropout) are reseeded per (run seed, epoch, sample
-// position), so the mask a sample sees never depends on which worker
-// processed it or on how many samples that worker handled before.
+// Dropout masks come from a tape seeded per (run seed, epoch, sample
+// position), so the mask a sample sees never depends on which lane
+// processed it or on how many samples that lane handled before.
 //
 // Deliberately free of -Wthread-safety annotations: this engine holds no
-// mutex. Workers write disjoint per-slot buffers (slot index = worker
-// index) and the reduction runs after the parallel_for barrier, so its
-// race freedom is a data-partitioning argument the capability analysis
+// mutex. Lanes only read the weights, write disjoint per-slot buffers
+// (slot index = sample position in the chunk) and their own workspace, and
+// the reduction and the Adam step run after the parallel_for barrier, so
+// its race freedom is a data-partitioning argument the capability analysis
 // cannot express. TSan stress coverage stands in where the static proof
 // cannot reach (tests/magic/parallel_trainer_test.cpp under check.sh tsan).
 
@@ -34,51 +37,41 @@ namespace magic::core {
 std::uint64_t per_sample_seed(std::uint64_t seed, std::uint64_t epoch,
                               std::uint64_t position) noexcept;
 
-/// The engine behind train_model. One instance owns the replica set, the
-/// per-slot gradient buffers and the worker pool; buffers are allocated once
-/// up front so the per-step loop is allocation-free in steady state.
+/// The engine behind train_model. One instance owns the per-slot gradient
+/// buffers, the per-lane workspaces and the worker pool; buffers are
+/// allocated once up front so the per-step loop reuses them.
 class ParallelTrainer {
  public:
-  /// `model` is the master: the optimizer steps its parameters and the
-  /// trained values end up in it, exactly like the serial engine.
+  /// Adam steps `model`'s parameters; the lanes read it as a const model.
   ParallelTrainer(DgcnnModel& model, const data::Dataset& dataset,
                   const TrainOptions& options);
 
   TrainResult train(const std::vector<std::size_t>& train_indices,
                     const std::vector<std::size_t>& val_indices);
 
-  /// Replica-parallel evaluation; rows stored by sample position so the
-  /// result equals the serial evaluate_model byte for byte.
-  EvalResult evaluate(const std::vector<std::size_t>& indices);
-
   std::size_t threads() const noexcept { return threads_; }
 
  private:
-  /// Copies master parameter values into every replica.
-  void sync_replicas();
-  /// Runs samples order[begin, end) through the replicas; slot s leaves its
+  /// Runs samples order[begin, end) across the lanes; slot s leaves its
   /// gradients in slot_grads_[s] and its loss in slot_loss_[s].
   void run_chunk(const std::vector<std::size_t>& order, std::size_t begin,
                  std::size_t end, std::size_t epoch);
-  /// One sample on one replica: reseed, zero grads, forward, loss,
-  /// backward, swap gradients into the slot buffers.
-  void run_slot(std::size_t replica, std::size_t slot,
+  /// One sample on one lane: forward on a seeded tape, loss, backward into
+  /// the slot's gradient buffer.
+  void run_slot(std::size_t lane, std::size_t slot,
                 const std::vector<std::size_t>& order, std::size_t begin,
                 std::size_t epoch);
 
-  DgcnnModel& master_;
+  const DgcnnModel& model_;
+  std::vector<nn::Parameter*> params_;  // what Adam steps
   const data::Dataset& dataset_;
   TrainOptions options_;
   std::size_t threads_;
 
-  std::vector<std::unique_ptr<DgcnnModel>> replicas_;
-  std::vector<std::vector<nn::Parameter*>> replica_params_;
-  std::vector<nn::Parameter*> master_params_;
-
-  // slot_grads_[slot][param] mirrors the master parameter shapes.
+  // slot_grads_[slot][param] mirrors the parameter shapes.
   std::vector<std::vector<nn::Tensor>> slot_grads_;
   std::vector<double> slot_loss_;
-  std::size_t max_chunk_ = 0;
+  std::vector<nn::InferenceWorkspace> workspaces_;  // one per lane
 
   // obs phase timing (magic::obs). Sampled once at train() entry; when
   // false (obs disabled or compiled out) no clock is ever read and the

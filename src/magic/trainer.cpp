@@ -1,6 +1,5 @@
 #include "magic/trainer.hpp"
 
-#include <stdexcept>
 
 #include "magic/parallel_trainer.hpp"
 
@@ -14,27 +13,6 @@ TrainResult train_model(DgcnnModel& model, const data::Dataset& dataset,
   // the trajectory is bitwise independent of options.threads.
   ParallelTrainer trainer(model, dataset, options);
   return trainer.train(train_indices, val_indices);
-}
-
-EvalResult evaluate_model(DgcnnModel& model, const data::Dataset& dataset,
-                          const std::vector<std::size_t>& indices) {
-  model.set_training(false);
-  EvalResult result{0.0, ml::ConfusionMatrix(dataset.num_families()), {}, {}};
-  result.probabilities.reserve(indices.size());
-  result.labels.reserve(indices.size());
-  std::vector<std::vector<double>> probs;
-  for (std::size_t idx : indices) {
-    const acfg::Acfg& sample = dataset.samples[idx];
-    const nn::Tensor log_probs = model.forward(sample);
-    const nn::Tensor p = nn::exp_probs(log_probs);
-    std::vector<double> row(p.data(), p.data() + p.size());
-    const auto label = static_cast<std::size_t>(sample.label);
-    result.confusion.add(label, tensor::argmax(p));
-    result.probabilities.push_back(std::move(row));
-    result.labels.push_back(label);
-  }
-  result.mean_log_loss = ml::mean_log_loss(result.probabilities, result.labels);
-  return result;
 }
 
 }  // namespace magic::core

@@ -70,15 +70,11 @@ TrainResult train_model(DgcnnModel& model, const data::Dataset& dataset,
                         const std::vector<std::size_t>& val_indices,
                         const TrainOptions& options);
 
-/// Evaluates log loss + confusion over dataset[indices] (no grads).
-EvalResult evaluate_model(DgcnnModel& model, const data::Dataset& dataset,
-                          const std::vector<std::size_t>& indices);
-
-/// Parallel evaluation across `threads` model replicas (0 = hardware
-/// concurrency). Produces the same EvalResult as the serial overload: rows
-/// are stored by sample position, so the output is order-deterministic.
-EvalResult evaluate_model(DgcnnModel& model, const data::Dataset& dataset,
+/// Log loss and confusion over dataset[indices]: one const forward per
+/// graph, spread over `threads` lanes (0 = hardware concurrency). Rows are
+/// stored by sample position, so the result does not depend on `threads`.
+EvalResult evaluate_model(const DgcnnModel& model, const data::Dataset& dataset,
                           const std::vector<std::size_t>& indices,
-                          std::size_t threads);
+                          std::size_t threads = 1);
 
 }  // namespace magic::core

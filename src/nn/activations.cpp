@@ -8,80 +8,38 @@
 
 namespace magic::nn {
 
-Tensor ReLU::forward(const Tensor& input) {
+Tensor ReLU::forward(Tensor input, Tape* tape) const {
   MAGIC_SHAPE_CONTRACT_ANY("ReLU::forward", input);
-  cache_valid_ = grad_enabled();
-  if (cache_valid_) cached_input_ = input;
-  Tensor out = input;
-  tensor::simd::kernels().relu_fwd(out.data(), out.size());
-  return out;
+  if (tape != nullptr) tape->push(input);
+  tensor::simd::kernels().relu_fwd(input.data(), input.size());
+  return input;
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
-  if (!cache_valid_) {
-    throw std::logic_error("ReLU::backward: no cached forward (grad caching disabled)");
-  }
-  if (!grad_output.same_shape(cached_input_)) {
+Tensor ReLU::backward(Tensor grad_output, Tape& tape, Gradients grads) const {
+  check_gradients("ReLU::backward", grads, 0);
+  const Tensor input = tape.pop_tensor();
+  if (!grad_output.same_shape(input)) {
     throw std::invalid_argument("ReLU::backward: shape mismatch");
   }
-  Tensor grad = grad_output;
-  tensor::simd::kernels().relu_bwd(grad.data(), cached_input_.data(), grad.size());
-  return grad;
+  tensor::simd::kernels().relu_bwd(grad_output.data(), input.data(), grad_output.size());
+  return grad_output;
 }
 
-Tensor ReLU::forward_batch(const Tensor& input) const {
-  return forward_batch_owned(Tensor(input));
-}
-
-Tensor ReLU::forward_batch_owned(Tensor&& input) const {
-  (void)batch_item_shape(input, "ReLU::forward_batch");
-  tensor::simd::kernels().relu_fwd(input.data(), input.size());
-  return std::move(input);
-}
-
-Tensor Tanh::forward(const Tensor& input) {
+Tensor Tanh::forward(Tensor input, Tape* tape) const {
   MAGIC_SHAPE_CONTRACT_ANY("Tanh::forward", input);
-  cache_valid_ = grad_enabled();
-  Tensor out = input;
-  tensor::simd::kernels().tanh_fwd(out.data(), out.size());
-  if (cache_valid_) cached_output_ = out;
-  return out;
+  tensor::simd::kernels().tanh_fwd(input.data(), input.size());
+  if (tape != nullptr) tape->push(input);
+  return input;
 }
 
-Tensor Tanh::backward(const Tensor& grad_output) {
-  if (!cache_valid_) {
-    throw std::logic_error("Tanh::backward: no cached forward (grad caching disabled)");
-  }
-  if (!grad_output.same_shape(cached_output_)) {
+Tensor Tanh::backward(Tensor grad_output, Tape& tape, Gradients grads) const {
+  check_gradients("Tanh::backward", grads, 0);
+  const Tensor output = tape.pop_tensor();
+  if (!grad_output.same_shape(output)) {
     throw std::invalid_argument("Tanh::backward: shape mismatch");
   }
-  Tensor grad = grad_output;
-  tensor::simd::kernels().tanh_bwd(grad.data(), cached_output_.data(), grad.size());
-  return grad;
-}
-
-Tensor Sigmoid::forward(const Tensor& input) {
-  MAGIC_SHAPE_CONTRACT_ANY("Sigmoid::forward", input);
-  cache_valid_ = grad_enabled();
-  if (!cache_valid_) {
-    return tensor::map(input, [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
-  }
-  cached_output_ = tensor::map(input, [](double x) { return 1.0 / (1.0 + std::exp(-x)); });
-  return cached_output_;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-  if (!cache_valid_) {
-    throw std::logic_error("Sigmoid::backward: no cached forward (grad caching disabled)");
-  }
-  if (!grad_output.same_shape(cached_output_)) {
-    throw std::invalid_argument("Sigmoid::backward: shape mismatch");
-  }
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.size(); ++i) {
-    grad[i] *= cached_output_[i] * (1.0 - cached_output_[i]);
-  }
-  return grad;
+  tensor::simd::kernels().tanh_bwd(grad_output.data(), output.data(), grad_output.size());
+  return grad_output;
 }
 
 double activate(Activation a, double x) noexcept {

@@ -1,6 +1,6 @@
 #pragma once
-// Elementwise activation modules: ReLU (paper's worked example, Fig. 3/5),
-// Tanh (original DGCNN's graph-conv nonlinearity) and Sigmoid.
+// Elementwise activation modules: ReLU (paper's worked example, Fig. 3/5)
+// and Tanh (original DGCNN's graph-conv nonlinearity).
 
 #include <cstddef>
 
@@ -8,44 +8,22 @@
 
 namespace magic::nn {
 
-/// f(x) = max(x, 0).
+/// f(x) = max(x, 0), elementwise over any shape.
 class ReLU : public Module {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  /// Elementwise, so the batch is just a bigger tensor (no slicing).
-  Tensor forward_batch(const Tensor& input) const override;
-  /// Owned input: clamps in place, reusing the caller's storage.
-  Tensor forward_batch_owned(Tensor&& input) const override;
+  /// Records the input (backward passes the gradient where it was > 0).
+  Tensor forward(Tensor input, Tape* tape) const override;
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override;
   std::string name() const override { return "ReLU"; }
-
- private:
-  Tensor cached_input_;
-  bool cache_valid_ = false;
 };
 
-/// f(x) = tanh(x).
+/// f(x) = tanh(x), elementwise over any shape.
 class Tanh : public Module {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  /// Records the output (f' = 1 - f^2).
+  Tensor forward(Tensor input, Tape* tape) const override;
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override;
   std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor cached_output_;
-  bool cache_valid_ = false;
-};
-
-/// f(x) = 1 / (1 + exp(-x)).
-class Sigmoid : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor cached_output_;
-  bool cache_valid_ = false;
 };
 
 /// Which nonlinearity a graph-convolution layer applies (Eq. 1's f).

@@ -48,36 +48,42 @@ AdaptiveConvPool::AdaptiveConvPool(std::size_t channels, std::size_t grid,
   }
 }
 
-Tensor AdaptiveConvPool::forward(const Tensor& input) {
-  MAGIC_SHAPE_CONTRACT("AdaptiveConvPool::forward", input,
+Tensor AdaptiveConvPool::forward(Tensor packed,
+                                 const std::vector<std::size_t>& offsets,
+                                 Tape* tape) const {
+  MAGIC_SHAPE_CONTRACT("AdaptiveConvPool::forward", packed,
                        shape::at_least("n", 1), shape::at_least("C", 1));
-  if (input.rank() != 2 || input.size() == 0) {
+  if (packed.rank() != 2 || packed.size() == 0) {
     throw std::invalid_argument("AdaptiveConvPool::forward: expected (n x C), got " +
-                                input.describe());
+                                packed.describe());
   }
-  Tensor out({channels_, grid_, grid_});
-  cache_valid_ = grad_enabled();
-  if (cache_valid_) {
-    cached_input_ = input;
-    argmax_.resize(out.size());
-    preact_.resize(out.size());
-    pool(input.data(), input.dim(0), input.dim(1), out.data(), argmax_.data(),
-         preact_.data());
-  } else {
-    cached_input_ = Tensor();
-    argmax_ = {};
-    preact_ = {};
-    pool(input.data(), input.dim(0), input.dim(1), out.data(), nullptr, nullptr);
+  if (offsets.size() < 2 || offsets.front() != 0 ||
+      offsets.back() != packed.dim(0)) {
+    throw std::invalid_argument(
+        "AdaptiveConvPool::forward: offsets must run 0..total_vertices");
+  }
+  const std::size_t batch = offsets.size() - 1;
+  const std::size_t c = packed.dim(1);
+  const std::size_t per_graph = channels_ * grid_ * grid_;
+  Tensor out({batch, channels_, grid_, grid_});
+  std::vector<std::size_t> argmax(tape != nullptr ? out.size() : 0);
+  Tensor preact(tape != nullptr ? out.shape() : Shape{0});
+  for (std::size_t g = 0; g < batch; ++g) {
+    if (offsets[g + 1] <= offsets[g]) {
+      throw std::invalid_argument("AdaptiveConvPool::forward: empty graph segment");
+    }
+    pool(packed.data() + offsets[g] * c, offsets[g + 1] - offsets[g], c,
+         out.data() + g * per_graph,
+         tape != nullptr ? argmax.data() + g * per_graph : nullptr,
+         tape != nullptr ? preact.data() + g * per_graph : nullptr);
+  }
+  if (tape != nullptr) {
+    tape->push(std::move(packed));
+    tape->push(std::move(preact));
+    tape->push(offsets);
+    tape->push(std::move(argmax));
   }
   return out;
-}
-
-void AdaptiveConvPool::forward_into(const double* rows, std::size_t n,
-                                    std::size_t c, double* out) const {
-  if (n == 0 || c == 0) {
-    throw std::invalid_argument("AdaptiveConvPool::forward_into: empty input");
-  }
-  pool(rows, n, c, out, nullptr, nullptr);
 }
 
 void AdaptiveConvPool::pool(const double* rows, std::size_t n, std::size_t c,
@@ -136,21 +142,38 @@ void AdaptiveConvPool::pool(const double* rows, std::size_t n, std::size_t c,
   }
 }
 
-Tensor AdaptiveConvPool::backward(const Tensor& grad_output) {
-  if (!cache_valid_) {
-    throw std::logic_error(
-        "AdaptiveConvPool::backward: no cached forward (grad caching disabled)");
-  }
-  if (grad_output.rank() != 3 || grad_output.dim(0) != channels_ ||
-      grad_output.dim(1) != grid_ || grad_output.dim(2) != grid_) {
+Tensor AdaptiveConvPool::backward(Tensor grad_output, Tape& tape,
+                                  Gradients grads) const {
+  check_gradients("AdaptiveConvPool::backward", grads, 2);
+  const std::vector<std::size_t> argmax = tape.pop_indices();
+  const std::vector<std::size_t> offsets = tape.pop_indices();
+  const Tensor preact = tape.pop_tensor();
+  const Tensor input = tape.pop_tensor();
+  const std::size_t batch = offsets.size() - 1;
+  if (grad_output.rank() != 4 || grad_output.dim(0) != batch ||
+      grad_output.dim(1) != channels_ || grad_output.dim(2) != grid_ ||
+      grad_output.dim(3) != grid_) {
     throw std::invalid_argument("AdaptiveConvPool::backward: grad shape mismatch");
   }
-  const std::size_t n = cached_input_.dim(0), c = cached_input_.dim(1);
-  const std::size_t gg = grid_ * grid_;
-  Tensor grad_in({n, c});
-  const double* x = cached_input_.data();
-  double* gi = grad_in.data();
+  const std::size_t c = input.dim(1);
+  const std::size_t per_graph = channels_ * grid_ * grid_;
+  Tensor grad_in = Tensor::zeros(input.shape());
+  for (std::size_t g = 0; g < batch; ++g) {
+    const std::size_t slot = g * per_graph;
+    pool_backward(input.data() + offsets[g] * c, offsets[g + 1] - offsets[g], c,
+                  grad_output.data() + slot, argmax.data() + slot,
+                  preact.data() + slot, grad_in.data() + offsets[g] * c, grads);
+  }
+  return grad_in;
+}
 
+void AdaptiveConvPool::pool_backward(const double* x, std::size_t n, std::size_t c,
+                                     const double* grad_output,
+                                     const std::size_t* argmax, const double* preact,
+                                     double* gi, Gradients grads) const {
+  const std::size_t gg = grid_ * grid_;
+  double* weight_grad = grads[0].data();
+  double* bias_grad = grads[1].data();
   // One entry per window, then one per distinct argmax: the positions of
   // the conv output whose gradient can be nonzero.
   struct Tap {
@@ -162,7 +185,7 @@ Tensor AdaptiveConvPool::backward(const Tensor& grad_output) {
   for (std::size_t o = 0; o < channels_; ++o) {
     for (std::size_t k = 0; k < gg; ++k) {
       const std::size_t slot = o * gg + k;
-      taps[k] = {argmax_[slot], grad_output[slot], preact_[slot]};
+      taps[k] = {argmax[slot], grad_output[slot], preact[slot]};
     }
     // Raster order; the stable sort keeps windows sharing an argmax in
     // window order, and their gradients sum from 0 in that order, as
@@ -182,7 +205,7 @@ Tensor AdaptiveConvPool::backward(const Tensor& grad_output) {
     // remaining terms arrive in the dense loop's order.
     double bsum = 0.0;
     for (std::size_t t = 0; t < live; ++t) bsum += taps[t].grad;
-    bias_.grad[o] += bsum;
+    bias_grad[o] += bsum;
     for (std::size_t ky = 0; ky < 3; ++ky) {
       for (std::size_t kx = 0; kx < 3; ++kx) {
         const std::size_t widx = o * kTaps + ky * 3 + kx;
@@ -196,11 +219,10 @@ Tensor AdaptiveConvPool::backward(const Tensor& grad_output) {
           wgrad += taps[t].grad * x[in];
           gi[in] += w * taps[t].grad;
         }
-        weight_.grad[widx] += wgrad;
+        weight_grad[widx] += wgrad;
       }
     }
   }
-  return grad_in;
 }
 
 std::vector<Parameter*> AdaptiveConvPool::parameters() { return {&weight_, &bias_}; }

@@ -24,20 +24,19 @@ AdaptiveMaxPool2D::AdaptiveMaxPool2D(std::size_t out_h, std::size_t out_w)
   }
 }
 
-Tensor AdaptiveMaxPool2D::forward(const Tensor& input) {
-  MAGIC_SHAPE_CONTRACT("AdaptiveMaxPool2D::forward", input, shape::any("C"),
-                       shape::at_least("H", 1), shape::at_least("W", 1));
-  if (input.rank() != 3) {
-    throw std::invalid_argument("AdaptiveMaxPool2D: (C x H x W) input required");
-  }
-  const std::size_t C = input.dim(0), H = input.dim(1), W = input.dim(2);
+Tensor AdaptiveMaxPool2D::forward(Tensor input, Tape* tape) const {
+  MAGIC_SHAPE_CONTRACT("AdaptiveMaxPool2D::forward", input, shape::any("N"),
+                       shape::any("C"), shape::at_least("H", 1),
+                       shape::at_least("W", 1));
+  check_batch("AdaptiveMaxPool2D::forward", input, 4);
+  const std::size_t planes = input.dim(0) * input.dim(1);
+  const std::size_t H = input.dim(2), W = input.dim(3);
   if (H == 0 || W == 0) {
     throw std::invalid_argument("AdaptiveMaxPool2D: empty spatial dims");
   }
-  input_shape_ = input.shape();
-  argmax_.assign(C * oh_ * ow_, 0);
-  Tensor out({C, oh_, ow_});
-  for (std::size_t c = 0; c < C; ++c) {
+  Tensor out({input.dim(0), input.dim(1), oh_, ow_});
+  std::vector<std::size_t> argmax(tape != nullptr ? out.size() : 0);
+  for (std::size_t c = 0; c < planes; ++c) {
     for (std::size_t oy = 0; oy < oh_; ++oy) {
       // When the output grid is larger than the input, windows overlap/repeat
       // (start index clamped so each window is non-empty).
@@ -56,21 +55,29 @@ Tensor AdaptiveMaxPool2D::forward(const Tensor& input) {
           }
         }
         const std::size_t oidx = (c * oh_ + oy) * ow_ + ox;
-        argmax_[oidx] = best;
         out[oidx] = input[best];
+        if (tape != nullptr) argmax[oidx] = best;
       }
     }
+  }
+  if (tape != nullptr) {
+    tape->push(input.shape());
+    tape->push(std::move(argmax));
   }
   return out;
 }
 
-Tensor AdaptiveMaxPool2D::backward(const Tensor& grad_output) {
-  if (grad_output.size() != argmax_.size()) {
+Tensor AdaptiveMaxPool2D::backward(Tensor grad_output, Tape& tape,
+                                   Gradients grads) const {
+  check_gradients("AdaptiveMaxPool2D::backward", grads, 0);
+  const std::vector<std::size_t> argmax = tape.pop_indices();
+  const Shape input_shape = tape.pop_indices();
+  if (grad_output.size() != argmax.size()) {
     throw std::invalid_argument("AdaptiveMaxPool2D::backward: grad shape mismatch");
   }
-  Tensor grad_in = Tensor::zeros(input_shape_);
-  for (std::size_t i = 0; i < argmax_.size(); ++i) {
-    grad_in[argmax_[i]] += grad_output[i];
+  Tensor grad_in = Tensor::zeros(input_shape);
+  for (std::size_t i = 0; i < argmax.size(); ++i) {
+    grad_in[argmax[i]] += grad_output[i];
   }
   return grad_in;
 }

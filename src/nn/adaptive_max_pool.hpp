@@ -6,23 +6,23 @@
 // derived from the input dimensions, and keeps the maximum per sub-window
 // and channel. This unifies variable-size graph-convolution outputs Z^{1:h}
 // without sorting, and is the paper's best-performing pooling on both
-// datasets (Table II).
-
-#include <vector>
+// datasets (Table II). DgcnnModel runs the fused AdaptiveConvPool; this
+// layer is the unfused reference it is tested against.
 
 #include "nn/module.hpp"
 
 namespace magic::nn {
 
-/// AdaptiveMaxPool2D over (C x H x W) -> (C x OH x OW). Requires H >= 1,
-/// W >= 1; windows follow the standard adaptive rule
+/// AdaptiveMaxPool2D over (N x C x H x W) -> (N x C x OH x OW). Requires
+/// H >= 1, W >= 1; windows follow the standard adaptive rule
 /// rows(i) = [floor(i*H/OH), ceil((i+1)*H/OH)).
 class AdaptiveMaxPool2D : public Module {
  public:
   AdaptiveMaxPool2D(std::size_t out_h, std::size_t out_w);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  /// Records the input shape and the argmax of every output element.
+  Tensor forward(Tensor input, Tape* tape) const override;
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override;
   std::string name() const override { return "AdaptiveMaxPool2D"; }
 
   std::size_t out_h() const noexcept { return oh_; }
@@ -31,8 +31,6 @@ class AdaptiveMaxPool2D : public Module {
  private:
   std::size_t oh_;
   std::size_t ow_;
-  Shape input_shape_;
-  std::vector<std::size_t> argmax_;  // flat input index per output element
 };
 
 }  // namespace magic::nn

@@ -27,20 +27,24 @@ std::size_t Conv1D::out_length(std::size_t in_length) const {
   return (in_length - kernel_) / stride_ + 1;
 }
 
-Tensor Conv1D::forward(const Tensor& input) {
-  MAGIC_SHAPE_CONTRACT("Conv1D::forward", input, shape::eq(in_channels_),
-                       shape::at_least("L", kernel_));
-  if (input.rank() != 2 || input.dim(0) != in_channels_) {
-    throw std::invalid_argument("Conv1D::forward: expected (" +
+Tensor Conv1D::forward(Tensor input, Tape* tape) const {
+  MAGIC_SHAPE_CONTRACT("Conv1D::forward", input, shape::any("N"),
+                       shape::eq(in_channels_), shape::at_least("L", kernel_));
+  check_batch("Conv1D::forward", input, 3);
+  if (input.dim(1) != in_channels_) {
+    throw std::invalid_argument("Conv1D::forward: expected (N x " +
                                 std::to_string(in_channels_) + " x L), got " +
                                 input.describe());
   }
-  cache_valid_ = grad_enabled();
-  if (cache_valid_) cached_input_ = input;
-  const std::size_t L = input.dim(1);
+  const std::size_t batch = input.dim(0);
+  const std::size_t L = input.dim(2);
   const std::size_t Lo = out_length(L);
-  Tensor out({out_channels_, Lo});
-  convolve_into(input.data(), out.data(), L, Lo);
+  Tensor out({batch, out_channels_, Lo});
+  for (std::size_t s = 0; s < batch; ++s) {
+    convolve_into(input.data() + s * in_channels_ * L,
+                  out.data() + s * out_channels_ * Lo, L, Lo);
+  }
+  if (tape != nullptr) tape->push(std::move(input));
   return out;
 }
 
@@ -61,73 +65,35 @@ void Conv1D::convolve_into(const double* in, double* out, std::size_t L,
   }
 }
 
-Tensor Conv1D::forward_batch(const Tensor& input) const {
-  (void)batch_item_shape(input, "Conv1D::forward_batch");
-  if (input.rank() != 3 || input.dim(1) != in_channels_) {
-    throw std::invalid_argument("Conv1D::forward_batch: expected (batch x " +
-                                std::to_string(in_channels_) + " x L), got " +
-                                input.describe());
-  }
+Tensor Conv1D::backward(Tensor grad_output, Tape& tape, Gradients grads) const {
+  check_gradients("Conv1D::backward", grads, 2);
+  const Tensor input = tape.pop_tensor();
   const std::size_t batch = input.dim(0);
   const std::size_t L = input.dim(2);
   const std::size_t Lo = out_length(L);
-  // im2col: one row per (sample, output position), laid out C_in-major /
-  // K-minor to match the (C_out x C_in x K) weight rows. The whole batch
-  // then runs as a single register-blocked GEMM against W^T instead of
-  // batch * C_out re-streams of each image.
-  const std::size_t K = in_channels_ * kernel_;
-  Tensor cols({batch * Lo, K});
-  double* col = cols.data();
-  for (std::size_t s = 0; s < batch; ++s) {
-    const double* in = input.data() + s * in_channels_ * L;
-    for (std::size_t t = 0; t < Lo; ++t) {
-      double* row = col + (s * Lo + t) * K;
-      const std::size_t base = t * stride_;
-      for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-        const double* src = in + ic * L + base;
-        for (std::size_t k = 0; k < kernel_; ++k) row[ic * kernel_ + k] = src[k];
-      }
-    }
-  }
-  const Tensor gemm = tensor::matmul_nt(cols, weight_.value.reshape({out_channels_, K}));
-  // Scatter (batch*Lo x C_out) back to (batch x C_out x Lo), adding bias.
-  Tensor out({batch, out_channels_, Lo});
-  const double* gm = gemm.data();
-  for (std::size_t s = 0; s < batch; ++s) {
-    double* po = out.data() + s * out_channels_ * Lo;
-    const double* gs = gm + s * Lo * out_channels_;
-    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-      const double b = bias_.value[oc];
-      for (std::size_t t = 0; t < Lo; ++t) {
-        po[oc * Lo + t] = gs[t * out_channels_ + oc] + b;
-      }
-    }
-  }
-  return out;
-}
-
-Tensor Conv1D::backward(const Tensor& grad_output) {
-  if (!cache_valid_) {
-    throw std::logic_error("Conv1D::backward: no cached forward (grad caching disabled)");
-  }
-  const std::size_t L = cached_input_.dim(1);
-  const std::size_t Lo = out_length(L);
-  if (grad_output.rank() != 2 || grad_output.dim(0) != out_channels_ ||
-      grad_output.dim(1) != Lo) {
+  if (grad_output.rank() != 3 || grad_output.dim(0) != batch ||
+      grad_output.dim(1) != out_channels_ || grad_output.dim(2) != Lo) {
     throw std::invalid_argument("Conv1D::backward: grad shape mismatch");
   }
-  Tensor grad_in = Tensor::zeros(cached_input_.shape());
-  for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-    for (std::size_t t = 0; t < Lo; ++t) {
-      const double g = grad_output[oc * Lo + t];
-      if (g == 0.0) continue;
-      bias_.grad[oc] += g;
-      const std::size_t base = t * stride_;
-      for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-        for (std::size_t k = 0; k < kernel_; ++k) {
-          const std::size_t widx = (oc * in_channels_ + ic) * kernel_ + k;
-          weight_.grad[widx] += g * cached_input_[ic * L + base + k];
-          grad_in[ic * L + base + k] += g * weight_.value[widx];
+  Tensor grad_in = Tensor::zeros(input.shape());
+  Tensor& weight_grad = grads[0];
+  Tensor& bias_grad = grads[1];
+  for (std::size_t s = 0; s < batch; ++s) {
+    const double* x = input.data() + s * in_channels_ * L;
+    const double* go = grad_output.data() + s * out_channels_ * Lo;
+    double* gi = grad_in.data() + s * in_channels_ * L;
+    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+      for (std::size_t t = 0; t < Lo; ++t) {
+        const double g = go[oc * Lo + t];
+        if (g == 0.0) continue;
+        bias_grad[oc] += g;
+        const std::size_t base = t * stride_;
+        for (std::size_t ic = 0; ic < in_channels_; ++ic) {
+          for (std::size_t k = 0; k < kernel_; ++k) {
+            const std::size_t widx = (oc * in_channels_ + ic) * kernel_ + k;
+            weight_grad[widx] += g * x[ic * L + base + k];
+            gi[ic * L + base + k] += g * weight_.value[widx];
+          }
         }
       }
     }

@@ -12,27 +12,23 @@
 
 namespace magic::nn {
 
-/// Conv1D layer. Input (C_in x L); output (C_out x L_out) with
+/// Conv1D layer. Input (N x C_in x L); output (N x C_out x L_out) with
 /// L_out = (L - kernel) / stride + 1 (no padding).
 class Conv1D : public Module {
  public:
   Conv1D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          std::size_t stride, util::Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  /// (batch x C_in x L) -> (batch x C_out x L_out). Lowered to one im2col +
-  /// GEMM over the whole batch (instead of re-streaming every image once
-  /// per output channel), so it matches forward() per sample to within
-  /// floating-point associativity of the shared kernels.
-  Tensor forward_batch(const Tensor& input) const override;
+  /// One convolve loop per sample, whatever N is; records the input.
+  Tensor forward(Tensor input, Tape* tape) const override;
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Conv1D"; }
 
   std::size_t out_length(std::size_t in_length) const;
 
  private:
-  /// Shared convolution core: one (C_in x L) image into (C_out x Lo).
+  /// One (C_in x L) image into (C_out x Lo).
   void convolve_into(const double* in, double* out, std::size_t L,
                      std::size_t Lo) const;
 
@@ -42,8 +38,6 @@ class Conv1D : public Module {
   std::size_t stride_;
   Parameter weight_;  // (C_out x C_in x K)
   Parameter bias_;    // (C_out)
-  Tensor cached_input_;
-  bool cache_valid_ = false;
 };
 
 }  // namespace magic::nn

@@ -39,25 +39,30 @@ Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
   }
 }
 
-Tensor Conv2D::forward(const Tensor& input) {
-  MAGIC_SHAPE_CONTRACT("Conv2D::forward", input, shape::eq(in_channels_),
+Tensor Conv2D::forward(Tensor input, Tape* tape) const {
+  MAGIC_SHAPE_CONTRACT("Conv2D::forward", input, shape::any("N"),
+                       shape::eq(in_channels_),
                        shape::at_least("H", kh_ > 2 * pad_ ? kh_ - 2 * pad_ : 1),
                        shape::at_least("W", kw_ > 2 * pad_ ? kw_ - 2 * pad_ : 1));
-  if (input.rank() != 3 || input.dim(0) != in_channels_) {
-    throw std::invalid_argument("Conv2D::forward: expected (" +
-                                std::to_string(in_channels_) + " x H x W), got " +
-                                input.describe());
+  check_batch("Conv2D::forward", input, 4);
+  if (input.dim(1) != in_channels_) {
+    throw std::invalid_argument("Conv2D::forward: expected (N x " +
+                                std::to_string(in_channels_) +
+                                " x H x W), got " + input.describe());
   }
-  const std::size_t H = input.dim(1), W = input.dim(2);
+  const std::size_t batch = input.dim(0);
+  const std::size_t H = input.dim(2), W = input.dim(3);
   if (H + 2 * pad_ < kh_ || W + 2 * pad_ < kw_) {
     throw std::invalid_argument("Conv2D: input too small for kernel");
   }
-  cache_valid_ = grad_enabled();
-  if (cache_valid_) cached_input_ = input;
   const std::size_t Ho = H + 2 * pad_ - kh_ + 1;
   const std::size_t Wo = W + 2 * pad_ - kw_ + 1;
-  Tensor out({out_channels_, Ho, Wo});
-  convolve_into(input.data(), out.data(), H, W);
+  Tensor out({batch, out_channels_, Ho, Wo});
+  for (std::size_t s = 0; s < batch; ++s) {
+    convolve_into(input.data() + s * in_channels_ * H * W,
+                  out.data() + s * out_channels_ * Ho * Wo, H, W);
+  }
+  if (tape != nullptr) tape->push(std::move(input));
   return out;
 }
 
@@ -95,73 +100,56 @@ void Conv2D::convolve_into(const double* pin, double* pout, std::size_t H,
   }
 }
 
-Tensor Conv2D::forward_batch(const Tensor& input) const {
-  (void)batch_item_shape(input, "Conv2D::forward_batch");
-  if (input.rank() != 4 || input.dim(1) != in_channels_) {
-    throw std::invalid_argument("Conv2D::forward_batch: expected (batch x " +
-                                std::to_string(in_channels_) +
-                                " x H x W), got " + input.describe());
-  }
+Tensor Conv2D::backward(Tensor grad_output, Tape& tape, Gradients grads) const {
+  check_gradients("Conv2D::backward", grads, 2);
+  const Tensor input = tape.pop_tensor();
   const std::size_t batch = input.dim(0);
   const std::size_t H = input.dim(2), W = input.dim(3);
-  if (H + 2 * pad_ < kh_ || W + 2 * pad_ < kw_) {
-    throw std::invalid_argument("Conv2D::forward_batch: input too small for kernel");
-  }
   const std::size_t Ho = H + 2 * pad_ - kh_ + 1;
   const std::size_t Wo = W + 2 * pad_ - kw_ + 1;
-  Tensor out({batch, out_channels_, Ho, Wo});
-  for (std::size_t s = 0; s < batch; ++s) {
-    convolve_into(input.data() + s * in_channels_ * H * W,
-                  out.data() + s * out_channels_ * Ho * Wo, H, W);
-  }
-  return out;
-}
-
-Tensor Conv2D::backward(const Tensor& grad_output) {
-  if (!cache_valid_) {
-    throw std::logic_error("Conv2D::backward: no cached forward (grad caching disabled)");
-  }
-  const std::size_t H = cached_input_.dim(1), W = cached_input_.dim(2);
-  const std::size_t Ho = H + 2 * pad_ - kh_ + 1;
-  const std::size_t Wo = W + 2 * pad_ - kw_ + 1;
-  if (grad_output.rank() != 3 || grad_output.dim(0) != out_channels_ ||
-      grad_output.dim(1) != Ho || grad_output.dim(2) != Wo) {
+  if (grad_output.rank() != 4 || grad_output.dim(0) != batch ||
+      grad_output.dim(1) != out_channels_ || grad_output.dim(2) != Ho ||
+      grad_output.dim(3) != Wo) {
     throw std::invalid_argument("Conv2D::backward: grad shape mismatch");
   }
-  Tensor grad_in = Tensor::zeros(cached_input_.shape());
-  const double* pin = cached_input_.data();
-  const double* pgo = grad_output.data();
-  double* pgi = grad_in.data();
-  for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-    const double* gchan = pgo + oc * Ho * Wo;
-    double bsum = 0.0;
-    for (std::size_t i = 0; i < Ho * Wo; ++i) bsum += gchan[i];
-    bias_.grad[oc] += bsum;
-    for (std::size_t ic = 0; ic < in_channels_; ++ic) {
-      const double* ichan = pin + ic * H * W;
-      double* gichan = pgi + ic * H * W;
-      for (std::size_t ky = 0; ky < kh_; ++ky) {
-        std::size_t oy_lo, oy_hi;
-        valid_range(ky, pad_, H, Ho, oy_lo, oy_hi);
-        for (std::size_t kx = 0; kx < kw_; ++kx) {
-          std::size_t ox_lo, ox_hi;
-          valid_range(kx, pad_, W, Wo, ox_lo, ox_hi);
-          if (ox_hi <= ox_lo || oy_hi <= oy_lo) continue;
-          const std::size_t widx = ((oc * in_channels_ + ic) * kh_ + ky) * kw_ + kx;
-          const double w = weight_.value[widx];
-          double wgrad = 0.0;
-          const std::size_t span = ox_hi - ox_lo;
-          for (std::size_t oy = oy_lo; oy < oy_hi; ++oy) {
-            const std::size_t iy = oy + ky - pad_;
-            const double* irow = ichan + iy * W + (ox_lo + kx - pad_);
-            double* girow = gichan + iy * W + (ox_lo + kx - pad_);
-            const double* grow = gchan + oy * Wo + ox_lo;
-            for (std::size_t j = 0; j < span; ++j) {
-              wgrad += grow[j] * irow[j];
-              girow[j] += w * grow[j];
+  Tensor grad_in = Tensor::zeros(input.shape());
+  Tensor& weight_grad = grads[0];
+  Tensor& bias_grad = grads[1];
+  for (std::size_t s = 0; s < batch; ++s) {
+    const double* pin = input.data() + s * in_channels_ * H * W;
+    const double* pgo = grad_output.data() + s * out_channels_ * Ho * Wo;
+    double* pgi = grad_in.data() + s * in_channels_ * H * W;
+    for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+      const double* gchan = pgo + oc * Ho * Wo;
+      double bsum = 0.0;
+      for (std::size_t i = 0; i < Ho * Wo; ++i) bsum += gchan[i];
+      bias_grad[oc] += bsum;
+      for (std::size_t ic = 0; ic < in_channels_; ++ic) {
+        const double* ichan = pin + ic * H * W;
+        double* gichan = pgi + ic * H * W;
+        for (std::size_t ky = 0; ky < kh_; ++ky) {
+          std::size_t oy_lo, oy_hi;
+          valid_range(ky, pad_, H, Ho, oy_lo, oy_hi);
+          for (std::size_t kx = 0; kx < kw_; ++kx) {
+            std::size_t ox_lo, ox_hi;
+            valid_range(kx, pad_, W, Wo, ox_lo, ox_hi);
+            if (ox_hi <= ox_lo || oy_hi <= oy_lo) continue;
+            const std::size_t widx = ((oc * in_channels_ + ic) * kh_ + ky) * kw_ + kx;
+            const double w = weight_.value[widx];
+            double wgrad = 0.0;
+            const std::size_t span = ox_hi - ox_lo;
+            for (std::size_t oy = oy_lo; oy < oy_hi; ++oy) {
+              const std::size_t iy = oy + ky - pad_;
+              const double* irow = ichan + iy * W + (ox_lo + kx - pad_);
+              double* girow = gichan + iy * W + (ox_lo + kx - pad_);
+              const double* grow = gchan + oy * Wo + ox_lo;
+              for (std::size_t j = 0; j < span; ++j) {
+                wgrad += grow[j] * irow[j];
+                girow[j] += w * grow[j];
+              }
             }
+            weight_grad[widx] += wgrad;
           }
-          weight_.grad[widx] += wgrad;
         }
       }
     }

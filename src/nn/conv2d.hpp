@@ -11,23 +11,21 @@
 
 namespace magic::nn {
 
-/// Conv2D with stride 1 and symmetric zero padding.
-/// Input (C_in x H x W); output (C_out x H + 2p - kh + 1 x W + 2p - kw + 1).
+/// Conv2D with stride 1 and symmetric zero padding. Input
+/// (N x C_in x H x W); output (N x C_out x H + 2p - kh + 1 x W + 2p - kw + 1).
 class Conv2D : public Module {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel_h,
          std::size_t kernel_w, std::size_t padding, util::Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  /// (batch x C_in x H x W) -> (batch x C_out x Ho x Wo); each sample runs
-  /// the same kernel as forward(), so results match per sample exactly.
-  Tensor forward_batch(const Tensor& input) const override;
+  /// One convolve loop per sample; records the input.
+  Tensor forward(Tensor input, Tape* tape) const override;
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "Conv2D"; }
 
  private:
-  /// Shared convolution core: one (C_in x H x W) image into (C_out x Ho x Wo).
+  /// One (C_in x H x W) image into (C_out x Ho x Wo).
   void convolve_into(const double* pin, double* pout, std::size_t H,
                      std::size_t W) const;
 
@@ -38,8 +36,6 @@ class Conv2D : public Module {
   std::size_t pad_;
   Parameter weight_;  // (C_out x C_in x kh x kw)
   Parameter bias_;    // (C_out)
-  Tensor cached_input_;
-  bool cache_valid_ = false;
 };
 
 }  // namespace magic::nn

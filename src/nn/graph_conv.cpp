@@ -36,6 +36,26 @@ Tensor copy_block(const Tensor& src, std::size_t col0, std::size_t width) {
   return out;
 }
 
+/// The Sage/Tag epilogue: activates the (n x out) pre-activations `f` row
+/// by row into `out` (row stride `out_stride`) and, when non-null, into
+/// `next_input`. With a tape, first records the operand `h` and the
+/// pre-activations.
+void activate_rows(Activation act, Tensor& f, double* out, std::size_t out_stride,
+                   Tensor* next_input, Tape* tape, const Tensor& h) {
+  const std::size_t n = f.dim(0), width = f.dim(1);
+  if (tape != nullptr) {
+    tape->push(h);
+    tape->push(f);
+  }
+  if (next_input != nullptr) next_input->resize({n, width});
+  for (std::size_t r = 0; r < n; ++r) {
+    double* row = f.data() + r * width;
+    apply_activation(act, row, width);
+    std::copy(row, row + width, out + r * out_stride);
+    if (next_input != nullptr) std::copy(row, row + width, next_input->data() + r * width);
+  }
+}
+
 }  // namespace
 
 const char* graph_conv_operator_name(GraphConvOperator kind) noexcept {
@@ -64,75 +84,56 @@ PaperGraphConv::PaperGraphConv(std::size_t in_channels, std::size_t out_channels
                             xavier_uniform({in_channels, out_channels},
                                            in_channels, out_channels, rng))) {}
 
-Tensor PaperGraphConv::forward(const SparseMatrix& prop, const Tensor& z) {
+void PaperGraphConv::forward(const SparseMatrix& prop, const Tensor& z,
+                             InferenceWorkspace& workspace, double* out,
+                             std::size_t out_stride, Tensor* next_input,
+                             Tape* tape) const {
   // Single authoritative input check, live in checked AND release builds:
   // ShapeContractError derives from std::invalid_argument, so release-mode
   // callers catching invalid input keep working.
   check_shape_contract("PaperGraphConv::forward", z,
                        {shape::any("n"), shape::eq(in_)});
   check_propagation("PaperGraphConv::forward", prop, z);
-  if (!grad_enabled_) {
-    cached_prop_ = nullptr;  // invalidate any stale training cache
-    Tensor f = tensor::matmul(z, weight_.value);
-    Tensor s = prop.multiply(f);
-    apply_activation(activation_, s.data(), s.size());
-    return s;
-  }
-  cached_prop_ = &prop;
-  cached_input_ = z;
-  // F = Z W, then S = P F (sparse), then Y = f(S).
-  Tensor f = tensor::matmul(z, weight_.value);
-  cached_preact_ = prop.multiply(f);
-  Tensor y = cached_preact_;
-  apply_activation(activation_, y.data(), y.size());
-  return y;
-}
-
-void PaperGraphConv::forward_inference_into(const SparseMatrix& prop,
-                                            const Tensor& z,
-                                            InferenceWorkspace& workspace,
-                                            double* out, std::size_t out_stride,
-                                            Tensor* next_input) const {
-  check_shape_contract("PaperGraphConv::forward", z,
-                       {shape::any("n"), shape::eq(in_)});
-  check_propagation("PaperGraphConv::forward", prop, z);
   const std::size_t n = z.dim(0);
+  // F = Z W, then S = P F (sparse), then Y = f(S).
   Tensor& f = workspace.f;
   tensor::matmul_into(f, z, weight_.value);  // consumes z fully
+  if (tape != nullptr) tape->push(z);
   // The resize may reallocate; safe even when next_input aliases z because
-  // the matmul above was the last reader of z.
+  // z has been read for the last time above.
   if (next_input != nullptr) next_input->resize({n, out_});
+  Tensor preact(tape != nullptr ? Shape{n, out_} : Shape{0});
+  double* pre = tape != nullptr ? preact.data() : nullptr;
   double* mirror = next_input != nullptr ? next_input->data() : nullptr;
   const std::size_t width = out_;
   const Activation act = activation_;
   prop.multiply_into(f, out, out_stride,
-                     [mirror, width, act](std::size_t r, double* row) {
+                     [pre, mirror, width, act](std::size_t r, double* row) {
+                       if (pre != nullptr) std::copy(row, row + width, pre + r * width);
                        apply_activation(act, row, width);
                        if (mirror != nullptr) {
                          std::copy(row, row + width, mirror + r * width);
                        }
                      });
+  if (tape != nullptr) tape->push(std::move(preact));
 }
 
-Tensor PaperGraphConv::backward(const Tensor& grad_output) {
-  if (cached_prop_ == nullptr) {
-    throw std::logic_error(
-        grad_enabled_
-            ? "PaperGraphConv::backward before forward"
-            : "PaperGraphConv::backward: no cached forward (grad caching disabled)");
-  }
-  if (!grad_output.same_shape(cached_preact_)) {
+Tensor PaperGraphConv::backward(const SparseMatrix& prop, Tensor grad_output,
+                                Tape& tape, Gradients grads) const {
+  check_gradients("PaperGraphConv::backward", grads, 1);
+  const Tensor preact = tape.pop_tensor();
+  const Tensor z = tape.pop_tensor();
+  if (!grad_output.same_shape(preact)) {
     throw std::invalid_argument("PaperGraphConv::backward: grad shape mismatch");
   }
+  check_propagation("PaperGraphConv::backward", prop, z);
   // dS = dY * f'(S)
-  Tensor ds = grad_output;
-  apply_activation_grad(activation_, ds.data(), cached_preact_.data(), ds.size());
-  // dF = P^T dS ; dW += Z^T dF ; dZ = dF W^T.
-  // matmul_tn/matmul_nt consume the operands in place -- no transpose
-  // temporaries; dw_scratch_ is reused across steps.
-  Tensor df = cached_prop_->multiply_transposed(ds);
-  tensor::matmul_tn_into(dw_scratch_, cached_input_, df);
-  weight_.grad += dw_scratch_;
+  Tensor& ds = grad_output;
+  apply_activation_grad(activation_, ds.data(), preact.data(), ds.size());
+  // dF = P^T dS ; dW += Z^T dF ; dZ = dF W^T, with the transpose-free
+  // kernels.
+  const Tensor df = prop.multiply_transposed(ds);
+  grads[0] += tensor::matmul_tn(z, df);
   return tensor::matmul_nt(df, weight_.value);
 }
 
@@ -163,31 +164,10 @@ SageConv::SageConv(std::size_t in_channels, std::size_t out_channels,
                             xavier_uniform({2 * in_channels, out_channels},
                                            2 * in_channels, out_channels, rng))) {}
 
-Tensor SageConv::forward(const SparseMatrix& prop, const Tensor& z) {
-  check_shape_contract("SageConv::forward", z,
-                       {shape::any("n"), shape::eq(in_)});
-  check_propagation("SageConv::forward", prop, z);
-  const std::size_t n = z.dim(0);
-  Tensor h({n, 2 * in_});  // zero-init = spmm accumulator
-  build_sage_concat(prop, z, in_, h);
-  if (!grad_enabled_) {
-    cached_prop_ = nullptr;
-    Tensor y = tensor::matmul(h, weight_.value);
-    apply_activation(activation_, y.data(), y.size());
-    return y;
-  }
-  cached_prop_ = &prop;
-  cached_preact_ = tensor::matmul(h, weight_.value);
-  cached_input_ = std::move(h);
-  Tensor y = cached_preact_;
-  apply_activation(activation_, y.data(), y.size());
-  return y;
-}
-
-void SageConv::forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                                      InferenceWorkspace& workspace, double* out,
-                                      std::size_t out_stride,
-                                      Tensor* next_input) const {
+void SageConv::forward(const SparseMatrix& prop, const Tensor& z,
+                       InferenceWorkspace& workspace, double* out,
+                       std::size_t out_stride, Tensor* next_input,
+                       Tape* tape) const {
   check_shape_contract("SageConv::forward", z,
                        {shape::any("n"), shape::eq(in_)});
   check_propagation("SageConv::forward", prop, z);
@@ -198,35 +178,26 @@ void SageConv::forward_inference_into(const SparseMatrix& prop, const Tensor& z,
   build_sage_concat(prop, z, in_, h);
   // z is fully consumed; next_input may now alias it.
   tensor::matmul_into(workspace.f, h, weight_.value);
-  if (next_input != nullptr) next_input->resize({n, out_});
-  double* mirror = next_input != nullptr ? next_input->data() : nullptr;
-  for (std::size_t r = 0; r < n; ++r) {
-    double* row = workspace.f.data() + r * out_;
-    apply_activation(activation_, row, out_);
-    std::copy(row, row + out_, out + r * out_stride);
-    if (mirror != nullptr) std::copy(row, row + out_, mirror + r * out_);
-  }
+  activate_rows(activation_, workspace.f, out, out_stride, next_input, tape, h);
 }
 
-Tensor SageConv::backward(const Tensor& grad_output) {
-  if (cached_prop_ == nullptr) {
-    throw std::logic_error(
-        grad_enabled_
-            ? "SageConv::backward before forward"
-            : "SageConv::backward: no cached forward (grad caching disabled)");
-  }
-  if (!grad_output.same_shape(cached_preact_)) {
+Tensor SageConv::backward(const SparseMatrix& prop, Tensor grad_output, Tape& tape,
+                          Gradients grads) const {
+  check_gradients("SageConv::backward", grads, 1);
+  const Tensor preact = tape.pop_tensor();
+  const Tensor h = tape.pop_tensor();
+  if (!grad_output.same_shape(preact)) {
     throw std::invalid_argument("SageConv::backward: grad shape mismatch");
   }
+  check_propagation("SageConv::backward", prop, h);
   // dS = dY * f'(S); dW += H^T dS; dH = dS W^T.
-  Tensor ds = grad_output;
-  apply_activation_grad(activation_, ds.data(), cached_preact_.data(), ds.size());
-  tensor::matmul_tn_into(dw_scratch_, cached_input_, ds);
-  weight_.grad += dw_scratch_;
-  Tensor dh = tensor::matmul_nt(ds, weight_.value);
+  Tensor& ds = grad_output;
+  apply_activation_grad(activation_, ds.data(), preact.data(), ds.size());
+  grads[0] += tensor::matmul_tn(h, ds);
+  const Tensor dh = tensor::matmul_nt(ds, weight_.value);
   // dZ = dH_left + P^T dH_right (the self path plus the aggregated path).
   Tensor dz = copy_block(dh, 0, in_);
-  dz += cached_prop_->multiply_transposed(copy_block(dh, in_, in_));
+  dz += prop.multiply_transposed(copy_block(dh, in_, in_));
   return dz;
 }
 
@@ -275,32 +246,9 @@ TagConv::TagConv(std::size_t in_channels, std::size_t out_channels,
   }
 }
 
-Tensor TagConv::forward(const SparseMatrix& prop, const Tensor& z) {
-  check_shape_contract("TagConv::forward", z,
-                       {shape::any("n"), shape::eq(in_)});
-  check_propagation("TagConv::forward", prop, z);
-  const std::size_t n = z.dim(0);
-  Tensor h({n, (hops_ + 1) * in_});  // zero-init = spmm accumulator
-  Tensor hop, prev;
-  build_tag_concat(prop, z, in_, hops_, h, hop, prev);
-  if (!grad_enabled_) {
-    cached_prop_ = nullptr;
-    Tensor y = tensor::matmul(h, weight_.value);
-    apply_activation(activation_, y.data(), y.size());
-    return y;
-  }
-  cached_prop_ = &prop;
-  cached_preact_ = tensor::matmul(h, weight_.value);
-  cached_input_ = std::move(h);
-  Tensor y = cached_preact_;
-  apply_activation(activation_, y.data(), y.size());
-  return y;
-}
-
-void TagConv::forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                                     InferenceWorkspace& workspace, double* out,
-                                     std::size_t out_stride,
-                                     Tensor* next_input) const {
+void TagConv::forward(const SparseMatrix& prop, const Tensor& z,
+                      InferenceWorkspace& workspace, double* out,
+                      std::size_t out_stride, Tensor* next_input, Tape* tape) const {
   check_shape_contract("TagConv::forward", z,
                        {shape::any("n"), shape::eq(in_)});
   check_propagation("TagConv::forward", prop, z);
@@ -312,37 +260,28 @@ void TagConv::forward_inference_into(const SparseMatrix& prop, const Tensor& z,
   build_tag_concat(prop, z, in_, hops_, h, workspace.hop, prev);
   // z is fully consumed; next_input may now alias it.
   tensor::matmul_into(workspace.f, h, weight_.value);
-  if (next_input != nullptr) next_input->resize({n, out_});
-  double* mirror = next_input != nullptr ? next_input->data() : nullptr;
-  for (std::size_t r = 0; r < n; ++r) {
-    double* row = workspace.f.data() + r * out_;
-    apply_activation(activation_, row, out_);
-    std::copy(row, row + out_, out + r * out_stride);
-    if (mirror != nullptr) std::copy(row, row + out_, mirror + r * out_);
-  }
+  activate_rows(activation_, workspace.f, out, out_stride, next_input, tape, h);
 }
 
-Tensor TagConv::backward(const Tensor& grad_output) {
-  if (cached_prop_ == nullptr) {
-    throw std::logic_error(
-        grad_enabled_
-            ? "TagConv::backward before forward"
-            : "TagConv::backward: no cached forward (grad caching disabled)");
-  }
-  if (!grad_output.same_shape(cached_preact_)) {
+Tensor TagConv::backward(const SparseMatrix& prop, Tensor grad_output, Tape& tape,
+                         Gradients grads) const {
+  check_gradients("TagConv::backward", grads, 1);
+  const Tensor preact = tape.pop_tensor();
+  const Tensor h = tape.pop_tensor();
+  if (!grad_output.same_shape(preact)) {
     throw std::invalid_argument("TagConv::backward: grad shape mismatch");
   }
+  check_propagation("TagConv::backward", prop, h);
   // dS = dY * f'(S); dW += H^T dS; dH = dS W^T.
-  Tensor ds = grad_output;
-  apply_activation_grad(activation_, ds.data(), cached_preact_.data(), ds.size());
-  tensor::matmul_tn_into(dw_scratch_, cached_input_, ds);
-  weight_.grad += dw_scratch_;
-  Tensor dh = tensor::matmul_nt(ds, weight_.value);
+  Tensor& ds = grad_output;
+  apply_activation_grad(activation_, ds.data(), preact.data(), ds.size());
+  grads[0] += tensor::matmul_tn(h, ds);
+  const Tensor dh = tensor::matmul_nt(ds, weight_.value);
   // dZ = sum_k (P^T)^k dH_k, evaluated with Horner's scheme innermost-out:
   // acc = dH_K; acc = dH_k + P^T acc for k = K-1 .. 0.
   Tensor acc = copy_block(dh, hops_ * in_, in_);
   for (std::size_t k = hops_; k-- > 0;) {
-    Tensor lifted = cached_prop_->multiply_transposed(acc);
+    Tensor lifted = prop.multiply_transposed(acc);
     acc = copy_block(dh, k * in_, in_);
     acc += lifted;
   }
@@ -388,76 +327,42 @@ GraphConvStack::GraphConvStack(const GraphConvStackConfig& config, util::Rng& rn
   }
 }
 
-Tensor GraphConvStack::forward(const SparseMatrix& prop, const Tensor& x) {
+Tensor GraphConvStack::forward(const SparseMatrix& prop, const Tensor& x,
+                               InferenceWorkspace& workspace, Tape* tape) const {
   MAGIC_SHAPE_CONTRACT("GraphConvStack::forward", x, shape::any("n"),
                        shape::eq(layers_.front()->in_channels()));
-  layer_outputs_.clear();
-  last_n_ = x.dim(0);
-  layer_outputs_.reserve(layers_.size());
-  Tensor z = x;
-  for (auto& layer : layers_) {
-    z = layer->forward(prop, z);
-    layer_outputs_.push_back(z);
-  }
-  return tensor::concat_cols(layer_outputs_);
-}
-
-Tensor GraphConvStack::forward_inference(const SparseMatrix& prop, const Tensor& x,
-                                         InferenceWorkspace& workspace) const {
-  MAGIC_SHAPE_CONTRACT("GraphConvStack::forward_inference", x, shape::any("n"),
-                       shape::eq(layers_.front()->in_channels()));
-  // Same matmul/spmm kernels in the same order as forward(), so the result
-  // is bitwise the same.
   Tensor concat({x.dim(0), total_channels_});  // zero-init = spmm accumulator
   const Tensor* zin = &x;
   std::size_t offset = 0;
   for (std::size_t t = 0; t < layers_.size(); ++t) {
     const GraphConvOp& layer = *layers_[t];
     const bool last = t + 1 == layers_.size();
-    layer.forward_inference_into(prop, *zin, workspace, concat.data() + offset,
-                                 total_channels_, last ? nullptr : &workspace.z);
+    layer.forward(prop, *zin, workspace, concat.data() + offset, total_channels_,
+                  last ? nullptr : &workspace.z, tape);
     offset += layer.out_channels();
     zin = &workspace.z;
   }
   return concat;
 }
 
-Tensor GraphConvStack::backward(const Tensor& grad_concat) {
-  if (grad_concat.rank() != 2 || grad_concat.dim(0) != last_n_ ||
+Tensor GraphConvStack::backward(const SparseMatrix& prop, Tensor grad_concat,
+                                Tape& tape, Gradients grads) const {
+  check_gradients("GraphConvStack::backward", grads, layers_.size());
+  if (grad_concat.rank() != 2 || grad_concat.dim(0) != prop.rows() ||
       grad_concat.dim(1) != total_channels_) {
     throw std::invalid_argument("GraphConvStack::backward: grad shape mismatch");
   }
-  // Split the concat gradient into per-layer slices.
-  std::vector<Tensor> slices;
-  slices.reserve(layers_.size());
-  std::size_t offset = 0;
-  for (const auto& layer : layers_) {
-    const std::size_t c = layer->out_channels();
-    Tensor g({last_n_, c});
-    for (std::size_t i = 0; i < last_n_; ++i) {
-      for (std::size_t j = 0; j < c; ++j) {
-        g[i * c + j] = grad_concat[i * total_channels_ + offset + j];
-      }
-    }
-    slices.push_back(std::move(g));
-    offset += c;
-  }
   // Each Z_t receives gradient both from the concat and from layer t+1.
-  Tensor g = slices.back();
+  std::size_t offset = total_channels_;
+  Tensor g;
   for (std::size_t t = layers_.size(); t-- > 0;) {
-    Tensor gin = layers_[t]->backward(g);
-    if (t > 0) {
-      g = slices[t - 1];
-      g += gin;
-    } else {
-      g = gin;  // gradient w.r.t. the original attribute matrix X
-    }
+    const std::size_t c = layers_[t]->out_channels();
+    offset -= c;
+    Tensor slice = copy_block(grad_concat, offset, c);
+    if (t + 1 < layers_.size()) slice += g;
+    g = layers_[t]->backward(prop, std::move(slice), tape, grads.subspan(t, 1));
   }
-  return g;
-}
-
-void GraphConvStack::set_grad_enabled(bool enabled) noexcept {
-  for (auto& layer : layers_) layer->set_grad_enabled(enabled);
+  return g;  // gradient w.r.t. the original attribute matrix X
 }
 
 std::vector<Parameter*> GraphConvStack::parameters() {

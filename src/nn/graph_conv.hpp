@@ -23,12 +23,13 @@
 //                   (W stacks the per-hop blocks row-wise).
 //
 // Every operator owns exactly one weight tensor, shares the SpMM/GEMM SIMD
-// kernels, and provides the three entry points the surrounding system
-// needs: forward (training, caches for backward), backward, and
-// forward_inference_into (the fused inference path that activates straight
-// into a column slice of the concatenated Z^{1:h}). Stacking h layers
+// kernels, and has two const entry points: forward, which activates
+// straight into a column slice of the concatenated Z^{1:h} and records on
+// a caller's nn::Tape what backward needs, and backward. Stacking h layers
 // aggregates multi-scale substructure; the concatenation
-// Z^{1:h} = [Z_1, ..., Z_h] feeds the pooling stage.
+// Z^{1:h} = [Z_1, ..., Z_h] feeds the pooling stage. A packed batch of
+// graphs runs through the same calls: its propagation operator is block
+// diagonal.
 
 #include <cstddef>
 #include <memory>
@@ -61,12 +62,11 @@ struct GraphConvOpOptions {
   std::size_t tag_hops = 2;
 };
 
-/// Caller-owned scratch of the const inference path
-/// (GraphConvStack::forward_inference). Every buffer is sized on first use
-/// and reused, so a caller that scores many batches through one workspace
-/// allocates only when a batch outgrows it. One workspace serves one call
-/// at a time; concurrent callers each own one, which is what lets any
-/// number of threads score on one set of weights.
+/// Caller-owned scratch of GraphConvStack::forward. Every buffer is sized
+/// on first use and reused, so a caller that runs many batches through one
+/// workspace allocates only when a batch outgrows it. One workspace serves
+/// one call at a time; concurrent callers each own one, which is what lets
+/// any number of threads run on one set of weights.
 struct InferenceWorkspace {
   Tensor f;    // per-layer GEMM output in flight
   Tensor z;    // contiguous copy of the previous layer's output
@@ -76,15 +76,14 @@ struct InferenceWorkspace {
 
 /// One graph-convolution layer behind a uniform interface.
 ///
-/// Unlike plain Module, forward takes the per-graph propagation operator P;
-/// backward reuses the P from the last forward (the caller keeps it alive).
+/// Unlike plain Module, both calls take the propagation operator P of the
+/// (packed) graph; the caller keeps it alive from forward to backward.
 /// Contract for implementations (DESIGN.md "Graph-convolution operators"):
-///  * forward/forward_inference_into open with a shape contract
-///    (magic_lint rule conv-op-contract) and reject a P whose side differs
-///    from the vertex count;
+///  * forward opens with a shape contract (magic_lint rule
+///    conv-op-contract) and rejects a P whose side differs from the vertex
+///    count;
 ///  * output width is exactly out_channels() — the stack's concat layout
 ///    and DgcnnConfig::total_graph_channels() rely on it;
-///  * forward_inference_into is const and bit-identical to forward();
 ///  * parameters() order is deterministic (fixed-order gradient reduction
 ///    in ParallelTrainer) and every parameter name is operator-specific so
 ///    checkpoints cannot silently load across operators.
@@ -94,29 +93,22 @@ class GraphConvOp {
 
   virtual GraphConvOperator kind() const noexcept = 0;
 
-  /// Y = f(op(P, Z) W); caches what backward needs (input, pre-activation).
-  virtual Tensor forward(const SparseMatrix& prop, const Tensor& z) = 0;
+  /// Y = f(op(P, Z) W), written row by row into `out` (row stride
+  /// `out_stride`, rows zero-initialized by the caller) — typically a
+  /// column slice of the stack's concatenated Z^{1:h}, so there is no
+  /// per-layer output tensor and no final concat copy. When `next_input`
+  /// is non-null the activated values are mirrored into it contiguously
+  /// for the next layer (it may alias `z`; `z` is fully consumed first).
+  /// Per-call buffers come from `workspace`. With a tape, records the
+  /// layer's operand (Z, or H for Sage/Tag) and pre-activations.
+  virtual void forward(const SparseMatrix& prop, const Tensor& z,
+                       InferenceWorkspace& workspace, double* out,
+                       std::size_t out_stride, Tensor* next_input,
+                       Tape* tape) const = 0;
 
-  /// Accumulates dW into the parameter grad and returns dZ (w.r.t. input).
-  virtual Tensor backward(const Tensor& grad_output) = 0;
-
-  /// Inference-only fused forward: computes the activated output and writes
-  /// its rows directly into `out` (row stride `out_stride`, rows
-  /// zero-initialized by the caller) — typically a column slice of the
-  /// stack's concatenated Z^{1:h}, which skips the per-layer output tensor
-  /// and the final concat copy entirely. When `next_input` is non-null the
-  /// activated values are mirrored into it contiguously for the next layer
-  /// (it may alias `z`; `z` is fully consumed first). Every per-call buffer
-  /// comes from `workspace`, so the call reads only the weight. Results are
-  /// bit-identical to forward().
-  virtual void forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                                      InferenceWorkspace& workspace, double* out,
-                                      std::size_t out_stride,
-                                      Tensor* next_input) const = 0;
-
-  /// When disabled, forward skips the backward caches; a subsequent
-  /// backward throws std::logic_error.
-  void set_grad_enabled(bool enabled) noexcept { grad_enabled_ = enabled; }
+  /// Pops this layer's records, adds dW into grads[0] and returns dZ.
+  virtual Tensor backward(const SparseMatrix& prop, Tensor grad_output,
+                          Tape& tape, Gradients grads) const = 0;
 
   /// Every zoo operator has exactly one weight; its name and shape are
   /// operator-specific (see the concrete classes).
@@ -138,7 +130,6 @@ class GraphConvOp {
   std::size_t in_;
   std::size_t out_;
   Activation activation_;
-  bool grad_enabled_ = true;
   Parameter weight_;
 };
 
@@ -153,18 +144,11 @@ class PaperGraphConv final : public GraphConvOp {
   GraphConvOperator kind() const noexcept override {
     return GraphConvOperator::Paper;
   }
-  Tensor forward(const SparseMatrix& prop, const Tensor& z) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                              InferenceWorkspace& workspace, double* out,
-                              std::size_t out_stride,
-                              Tensor* next_input) const override;
-
- private:
-  const SparseMatrix* cached_prop_ = nullptr;
-  Tensor cached_input_;
-  Tensor cached_preact_;  // S = P Z W before f
-  Tensor dw_scratch_;     // reused (in x out) buffer for Z^T dF
+  void forward(const SparseMatrix& prop, const Tensor& z,
+               InferenceWorkspace& workspace, double* out, std::size_t out_stride,
+               Tensor* next_input, Tape* tape) const override;
+  Tensor backward(const SparseMatrix& prop, Tensor grad_output, Tape& tape,
+                  Gradients grads) const override;
 };
 
 /// GraphSAGE-style mean aggregator: Y = f(H W) with H = [Z | P Z]
@@ -179,18 +163,11 @@ class SageConv final : public GraphConvOp {
   GraphConvOperator kind() const noexcept override {
     return GraphConvOperator::Sage;
   }
-  Tensor forward(const SparseMatrix& prop, const Tensor& z) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                              InferenceWorkspace& workspace, double* out,
-                              std::size_t out_stride,
-                              Tensor* next_input) const override;
-
- private:
-  const SparseMatrix* cached_prop_ = nullptr;
-  Tensor cached_input_;   // H = [Z | P Z] from the last forward
-  Tensor cached_preact_;  // H W before f
-  Tensor dw_scratch_;     // (2*in x out) buffer for H^T dS
+  void forward(const SparseMatrix& prop, const Tensor& z,
+               InferenceWorkspace& workspace, double* out, std::size_t out_stride,
+               Tensor* next_input, Tape* tape) const override;
+  Tensor backward(const SparseMatrix& prop, Tensor grad_output, Tape& tape,
+                  Gradients grads) const override;
 };
 
 /// K-hop topology-adaptive convolution: Y = f(H W) with
@@ -208,19 +185,14 @@ class TagConv final : public GraphConvOp {
     return GraphConvOperator::Tag;
   }
   std::size_t hops() const noexcept { return hops_; }
-  Tensor forward(const SparseMatrix& prop, const Tensor& z) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void forward_inference_into(const SparseMatrix& prop, const Tensor& z,
-                              InferenceWorkspace& workspace, double* out,
-                              std::size_t out_stride,
-                              Tensor* next_input) const override;
+  void forward(const SparseMatrix& prop, const Tensor& z,
+               InferenceWorkspace& workspace, double* out, std::size_t out_stride,
+               Tensor* next_input, Tape* tape) const override;
+  Tensor backward(const SparseMatrix& prop, Tensor grad_output, Tape& tape,
+                  Gradients grads) const override;
 
  private:
   std::size_t hops_;
-  const SparseMatrix* cached_prop_ = nullptr;
-  Tensor cached_input_;   // H = [Z | P Z | ... | P^K Z] from the last forward
-  Tensor cached_preact_;  // H W before f
-  Tensor dw_scratch_;     // ((K+1)*in x out) buffer for H^T dS
 };
 
 /// Builds the operator `options` names. Throws std::invalid_argument on
@@ -248,23 +220,17 @@ class GraphConvStack {
  public:
   explicit GraphConvStack(const GraphConvStackConfig& config, util::Rng& rng);
 
-  /// Returns the column-concatenated Z^{1:h} of shape (n x total_channels()),
-  /// layer by layer through each operator's forward() (which caches for
-  /// backward while grad caching is enabled).
-  Tensor forward(const SparseMatrix& prop, const Tensor& x);
+  /// The column-concatenated Z^{1:h} of shape (n x total_channels()). Each
+  /// layer activates straight into its column slice of the result; per-call
+  /// scratch comes from `workspace`. With a tape, every layer records what
+  /// its backward needs.
+  Tensor forward(const SparseMatrix& prop, const Tensor& x,
+                 InferenceWorkspace& workspace, Tape* tape) const;
 
-  /// Inference: the same Z^{1:h}, bit-identical to forward(), as a const
-  /// function of the weights and the caller's `workspace`. Each layer
-  /// activates straight into its column slice of the result, so there are
-  /// no per-layer output tensors and no final concat copy.
-  Tensor forward_inference(const SparseMatrix& prop, const Tensor& x,
-                           InferenceWorkspace& workspace) const;
-
-  /// Takes d(loss)/d(Z^{1:h}) and returns d(loss)/d(X).
-  Tensor backward(const Tensor& grad_concat);
-
-  /// Propagates to every layer (see GraphConvOp::set_grad_enabled).
-  void set_grad_enabled(bool enabled) noexcept;
+  /// Takes d(loss)/d(Z^{1:h}), adds each layer's dW into `grads` (one per
+  /// layer) and returns d(loss)/d(X). `prop` is the forward's operator.
+  Tensor backward(const SparseMatrix& prop, Tensor grad_concat, Tape& tape,
+                  Gradients grads) const;
 
   std::vector<Parameter*> parameters();
 
@@ -281,9 +247,7 @@ class GraphConvStack {
  private:
   GraphConvOpOptions op_options_;
   std::vector<std::unique_ptr<GraphConvOp>> layers_;
-  std::vector<Tensor> layer_outputs_;  // Z_1..Z_h from the last forward
   std::size_t total_channels_ = 0;
-  std::size_t last_n_ = 0;
 };
 
 }  // namespace magic::nn

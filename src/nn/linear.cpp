@@ -14,28 +14,14 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng
                                               in_features, out_features, rng)),
       bias_("linear.bias", Tensor::zeros({out_features})) {}
 
-Tensor Linear::forward(const Tensor& input) {
-  input_was_rank1_ = (input.rank() == 1);
-  if (input_was_rank1_) {
-    MAGIC_SHAPE_CONTRACT("Linear::forward", input, shape::eq(in_));
-  } else {
-    MAGIC_SHAPE_CONTRACT("Linear::forward", input, shape::any("rows"),
-                         shape::eq(in_));
-  }
-  Tensor input2 = input_was_rank1_ ? input.reshape({1, input.dim(0)}) : input;
-  if (input2.rank() != 2 || input2.dim(1) != in_) {
-    // Unchecked-build fallback; in checked builds the contract above fires
-    // first with the richer message.
-    throw std::invalid_argument("Linear::forward: expected (*, " +
+Tensor Linear::forward(Tensor input, Tape* tape) const {
+  MAGIC_SHAPE_CONTRACT("Linear::forward", input, shape::any("N"),
+                       shape::eq(in_));
+  check_batch("Linear::forward", input, 2);
+  if (input.dim(1) != in_) {
+    throw std::invalid_argument("Linear::forward: expected (N x " +
                                 std::to_string(in_) + "), got " + input.describe());
   }
-  Tensor out = affine(input2);
-  cache_valid_ = grad_enabled();
-  if (cache_valid_) cached_input_ = std::move(input2);
-  return input_was_rank1_ ? out.reshape({out_}) : out;
-}
-
-Tensor Linear::affine(const Tensor& input) const {
   Tensor out = tensor::matmul(input, weight_.value);
   if (has_bias_) {
     const std::size_t rows = out.dim(0);
@@ -43,42 +29,27 @@ Tensor Linear::affine(const Tensor& input) const {
       for (std::size_t j = 0; j < out_; ++j) out[i * out_ + j] += bias_.value[j];
     }
   }
+  if (tape != nullptr) tape->push(std::move(input));
   return out;
 }
 
-Tensor Linear::forward_batch(const Tensor& input) const {
-  (void)batch_item_shape(input, "Linear::forward_batch");
-  if (input.rank() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument("Linear::forward_batch: (batch x " +
-                                std::to_string(in_) + ") input required, got " +
-                                input.describe());
-  }
-  return affine(input);  // one fused (batch x in) GEMM
-}
-
-Tensor Linear::backward(const Tensor& grad_output) {
-  if (!cache_valid_) {
-    throw std::logic_error("Linear::backward: no cached forward (grad caching disabled)");
-  }
-  Tensor grad2 = grad_output.rank() == 1
-                     ? grad_output.reshape({1, grad_output.dim(0)})
-                     : grad_output;
-  if (grad2.rank() != 2 || grad2.dim(1) != out_ ||
-      grad2.dim(0) != cached_input_.dim(0)) {
+Tensor Linear::backward(Tensor grad_output, Tape& tape, Gradients grads) const {
+  check_gradients("Linear::backward", grads, has_bias_ ? 2 : 1);
+  const Tensor input = tape.pop_tensor();
+  if (grad_output.rank() != 2 || grad_output.dim(1) != out_ ||
+      grad_output.dim(0) != input.dim(0)) {
     throw std::invalid_argument("Linear::backward: grad shape mismatch");
   }
-  // dW = X^T dY ; db = column sums of dY ; dX = dY W^T.
-  // Transpose-free kernels; dw_scratch_ is reused across steps.
-  tensor::matmul_tn_into(dw_scratch_, cached_input_, grad2);
-  weight_.grad += dw_scratch_;
+  // dW = X^T dY ; db = column sums of dY ; dX = dY W^T, with the
+  // transpose-free kernels.
+  grads[0] += tensor::matmul_tn(input, grad_output);
   if (has_bias_) {
-    const std::size_t rows = grad2.dim(0);
+    const std::size_t rows = grad_output.dim(0);
     for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < out_; ++j) bias_.grad[j] += grad2[i * out_ + j];
+      for (std::size_t j = 0; j < out_; ++j) grads[1][j] += grad_output[i * out_ + j];
     }
   }
-  Tensor grad_in = tensor::matmul_nt(grad2, weight_.value);
-  return input_was_rank1_ ? grad_in.reshape({in_}) : grad_in;
+  return tensor::matmul_nt(grad_output, weight_.value);
 }
 
 std::vector<Parameter*> Linear::parameters() {

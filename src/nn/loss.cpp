@@ -5,69 +5,61 @@
 
 #include "nn/shape_contract.hpp"
 #include "tensor/simd/kernels.hpp"
-#include "util/check.hpp"
 
 namespace magic::nn {
 
-Tensor LogSoftmax::forward(const Tensor& input) {
-  MAGIC_SHAPE_CONTRACT("LogSoftmax::forward", input, shape::at_least("classes", 1));
-  if (input.rank() != 1) {
-    throw std::invalid_argument("LogSoftmax: rank-1 input required");
-  }
-  cache_valid_ = grad_enabled();
-  Tensor out = input;
-  tensor::simd::kernels().logsoftmax_fwd(out.data(), out.size());
-  if (cache_valid_) cached_output_ = out;
-  return out;
-}
-
-Tensor LogSoftmax::backward(const Tensor& grad_output) {
-  if (!cache_valid_) {
-    throw std::logic_error("LogSoftmax::backward: no cached forward (grad caching disabled)");
-  }
-  if (!grad_output.same_shape(cached_output_)) {
-    throw std::invalid_argument("LogSoftmax::backward: shape mismatch");
-  }
-  // d/dx_j of log_softmax_i = delta_ij - softmax_j
-  Tensor grad = grad_output;
-  tensor::simd::kernels().logsoftmax_bwd(grad.data(), cached_output_.data(),
-                                         grad.size());
-  return grad;
-}
-
-Tensor LogSoftmax::forward_batch(const Tensor& input) const {
-  return forward_batch_owned(Tensor(input));
-}
-
-Tensor LogSoftmax::forward_batch_owned(Tensor&& input) const {
-  (void)batch_item_shape(input, "LogSoftmax::forward_batch");
-  if (input.rank() != 2 || input.dim(1) == 0) {
-    throw std::invalid_argument(
-        "LogSoftmax::forward_batch: (batch x classes) input required");
+Tensor LogSoftmax::forward(Tensor input, Tape* tape) const {
+  MAGIC_SHAPE_CONTRACT("LogSoftmax::forward", input, shape::any("N"),
+                       shape::at_least("classes", 1));
+  check_batch("LogSoftmax::forward", input, 2);
+  if (input.dim(1) == 0) {
+    throw std::invalid_argument("LogSoftmax::forward: no classes");
   }
   const std::size_t rows = input.dim(0), classes = input.dim(1);
   const auto& kernels = tensor::simd::kernels();
   for (std::size_t r = 0; r < rows; ++r) {
     kernels.logsoftmax_fwd(input.data() + r * classes, classes);
   }
-  return std::move(input);
+  if (tape != nullptr) tape->push(input);
+  return input;
 }
 
-double NllLoss::forward(const Tensor& log_probs, std::size_t target) {
+Tensor LogSoftmax::backward(Tensor grad_output, Tape& tape, Gradients grads) const {
+  check_gradients("LogSoftmax::backward", grads, 0);
+  const Tensor output = tape.pop_tensor();
+  if (!grad_output.same_shape(output)) {
+    throw std::invalid_argument("LogSoftmax::backward: shape mismatch");
+  }
+  // d/dx_j of log_softmax_i = delta_ij - softmax_j, row by row.
+  const std::size_t rows = output.dim(0), classes = output.dim(1);
+  const auto& kernels = tensor::simd::kernels();
+  for (std::size_t r = 0; r < rows; ++r) {
+    kernels.logsoftmax_bwd(grad_output.data() + r * classes,
+                           output.data() + r * classes, classes);
+  }
+  return grad_output;
+}
+
+namespace {
+
+void check_observation(const Tensor& log_probs, std::size_t target) {
   MAGIC_SHAPE_CONTRACT("NllLoss::forward", log_probs, shape::at_least("classes", 1));
   if (log_probs.rank() != 1 || target >= log_probs.dim(0)) {
     throw std::invalid_argument("NllLoss: bad target or input rank");
   }
-  size_ = log_probs.dim(0);
-  target_ = target;
+}
+
+}  // namespace
+
+double NllLoss::forward(const Tensor& log_probs, std::size_t target) const {
+  check_observation(log_probs, target);
   return -log_probs[target];
 }
 
-Tensor NllLoss::backward() const {
-  MAGIC_CHECK(size_ > 0, "NllLoss::backward called before forward");
-  Tensor grad = Tensor::zeros({size_});
-  if (size_ == 0) return grad;  // unchecked-build fallback: avoid OOB write
-  grad[target_] = -1.0;
+Tensor NllLoss::backward(const Tensor& log_probs, std::size_t target) const {
+  check_observation(log_probs, target);
+  Tensor grad = Tensor::zeros(log_probs.shape());
+  grad[target] = -1.0;
   return grad;
 }
 

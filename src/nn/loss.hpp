@@ -9,36 +9,25 @@
 
 namespace magic::nn {
 
-/// Numerically stable log-softmax over the last axis of a rank-1 tensor.
+/// Numerically stable log-softmax over each row of a (N x classes) batch.
 class LogSoftmax : public Module {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  /// Row-wise log-softmax over a (batch x classes) tensor; each row matches
-  /// the rank-1 forward exactly (same max/exp-sum evaluation order).
-  Tensor forward_batch(const Tensor& input) const override;
-  /// Owned input: normalizes each row in place (same evaluation order).
-  Tensor forward_batch_owned(Tensor&& input) const override;
+  /// Records the output (the log-probabilities).
+  Tensor forward(Tensor input, Tape* tape) const override;
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override;
   std::string name() const override { return "LogSoftmax"; }
-
- private:
-  Tensor cached_output_;  // log-probabilities
-  bool cache_valid_ = false;
 };
 
-/// NLL of a single observation given log-probabilities.
+/// NLL of a single observation given its rank-1 log-probabilities.
 ///
-/// forward(log_probs, target) returns -log p_target; backward() returns the
-/// gradient w.r.t. log_probs. Combined with LogSoftmax this is the standard
-/// cross-entropy whose gradient w.r.t. logits is softmax(x) - onehot(y).
+/// forward(log_probs, target) returns -log p_target; backward(log_probs,
+/// target) the gradient w.r.t. log_probs. Combined with LogSoftmax this is
+/// the standard cross-entropy whose gradient w.r.t. logits is
+/// softmax(x) - onehot(y).
 class NllLoss {
  public:
-  double forward(const Tensor& log_probs, std::size_t target);
-  Tensor backward() const;
-
- private:
-  std::size_t size_ = 0;
-  std::size_t target_ = 0;
+  double forward(const Tensor& log_probs, std::size_t target) const;
+  Tensor backward(const Tensor& log_probs, std::size_t target) const;
 };
 
 /// Softmax probabilities from log-probabilities.

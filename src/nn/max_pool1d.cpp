@@ -13,69 +13,43 @@ MaxPool1D::MaxPool1D(std::size_t kernel, std::size_t stride)
   }
 }
 
-Tensor MaxPool1D::forward(const Tensor& input) {
-  MAGIC_SHAPE_CONTRACT("MaxPool1D::forward", input, shape::any("C"),
-                       shape::at_least("L", kernel_));
-  if (input.rank() != 2) throw std::invalid_argument("MaxPool1D: rank-2 input");
-  const std::size_t C = input.dim(0);
-  const std::size_t L = input.dim(1);
+Tensor MaxPool1D::forward(Tensor input, Tape* tape) const {
+  MAGIC_SHAPE_CONTRACT("MaxPool1D::forward", input, shape::any("N"),
+                       shape::any("C"), shape::at_least("L", kernel_));
+  check_batch("MaxPool1D::forward", input, 3);
+  const std::size_t batch = input.dim(0), C = input.dim(1), L = input.dim(2);
   if (L < kernel_) throw std::invalid_argument("MaxPool1D: input shorter than kernel");
   const std::size_t Lo = (L - kernel_) / stride_ + 1;
-  input_shape_ = input.shape();
-  argmax_.assign(C * Lo, 0);
-  Tensor out({C, Lo});
-  for (std::size_t c = 0; c < C; ++c) {
+  Tensor out({batch, C, Lo});
+  std::vector<std::size_t> argmax(tape != nullptr ? out.size() : 0);
+  for (std::size_t row = 0; row < batch * C; ++row) {
     for (std::size_t t = 0; t < Lo; ++t) {
-      std::size_t best = c * L + t * stride_;
+      std::size_t best = row * L + t * stride_;
       for (std::size_t k = 1; k < kernel_; ++k) {
-        const std::size_t idx = c * L + t * stride_ + k;
+        const std::size_t idx = row * L + t * stride_ + k;
         if (input[idx] > input[best]) best = idx;
       }
-      argmax_[c * Lo + t] = best;
-      out[c * Lo + t] = input[best];
+      out[row * Lo + t] = input[best];
+      if (tape != nullptr) argmax[row * Lo + t] = best;
     }
+  }
+  if (tape != nullptr) {
+    tape->push(input.shape());
+    tape->push(std::move(argmax));
   }
   return out;
 }
 
-Tensor MaxPool1D::forward_batch(const Tensor& input) const {
-  (void)batch_item_shape(input, "MaxPool1D::forward_batch");
-  if (input.rank() != 3) {
-    throw std::invalid_argument("MaxPool1D::forward_batch: rank-3 input required, got " +
-                                input.describe());
-  }
-  const std::size_t batch = input.dim(0);
-  const std::size_t C = input.dim(1);
-  const std::size_t L = input.dim(2);
-  if (L < kernel_) {
-    throw std::invalid_argument("MaxPool1D::forward_batch: input shorter than kernel");
-  }
-  const std::size_t Lo = (L - kernel_) / stride_ + 1;
-  Tensor out({batch, C, Lo});
-  for (std::size_t s = 0; s < batch; ++s) {
-    const double* in = input.data() + s * C * L;
-    double* po = out.data() + s * C * Lo;
-    for (std::size_t c = 0; c < C; ++c) {
-      for (std::size_t t = 0; t < Lo; ++t) {
-        double best = in[c * L + t * stride_];
-        for (std::size_t k = 1; k < kernel_; ++k) {
-          const double v = in[c * L + t * stride_ + k];
-          if (v > best) best = v;
-        }
-        po[c * Lo + t] = best;
-      }
-    }
-  }
-  return out;
-}
-
-Tensor MaxPool1D::backward(const Tensor& grad_output) {
-  if (grad_output.size() != argmax_.size()) {
+Tensor MaxPool1D::backward(Tensor grad_output, Tape& tape, Gradients grads) const {
+  check_gradients("MaxPool1D::backward", grads, 0);
+  const std::vector<std::size_t> argmax = tape.pop_indices();
+  const Shape input_shape = tape.pop_indices();
+  if (grad_output.size() != argmax.size()) {
     throw std::invalid_argument("MaxPool1D::backward: grad shape mismatch");
   }
-  Tensor grad_in = Tensor::zeros(input_shape_);
-  for (std::size_t i = 0; i < argmax_.size(); ++i) {
-    grad_in[argmax_[i]] += grad_output[i];
+  Tensor grad_in = Tensor::zeros(input_shape);
+  for (std::size_t i = 0; i < argmax.size(); ++i) {
+    grad_in[argmax[i]] += grad_output[i];
   }
   return grad_in;
 }

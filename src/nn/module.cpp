@@ -5,21 +5,20 @@
 
 namespace magic::nn {
 
-Shape batch_item_shape(const Tensor& input, const char* who) {
-  if (input.rank() < 2) {
-    throw std::invalid_argument(std::string(who) +
-                                ": batched input needs a leading batch "
-                                "dimension, got " + input.describe());
+void check_gradients(const char* who, Gradients grads, std::size_t count) {
+  if (grads.size() != count) {
+    throw std::invalid_argument(std::string(who) + ": expected " +
+                                std::to_string(count) + " gradient tensors, got " +
+                                std::to_string(grads.size()));
   }
-  if (input.dim(0) == 0) {
-    throw std::invalid_argument(std::string(who) + ": empty batch");
-  }
-  return Shape(input.shape().begin() + 1, input.shape().end());
 }
 
-Tensor Module::forward_batch(const Tensor& input) const {
-  static_cast<void>(input);
-  throw std::logic_error(name() + "::forward_batch: no batched forward");
+void check_batch(const char* who, const Tensor& t, std::size_t rank) {
+  if (t.rank() != rank || t.dim(0) == 0) {
+    throw std::invalid_argument(std::string(who) + ": expected a rank-" +
+                                std::to_string(rank) +
+                                " batch with N >= 1, got " + t.describe());
+  }
 }
 
 }  // namespace magic::nn

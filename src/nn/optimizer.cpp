@@ -1,44 +1,18 @@
 #include "nn/optimizer.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace magic::nn {
 
-Optimizer::Optimizer(std::vector<Parameter*> params, double lr, double weight_decay)
-    : params_(std::move(params)), lr_(lr), weight_decay_(weight_decay) {}
-
-void Optimizer::zero_grad() {
-  for (Parameter* p : params_) p->zero_grad();
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, double lr, double momentum,
-         double weight_decay)
-    : Optimizer(std::move(params), lr, weight_decay), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (Parameter* p : params_) velocity_.push_back(Tensor::zeros(p->value.shape()));
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      const double g = p.grad[j] + weight_decay_ * p.value[j];
-      if (momentum_ != 0.0) {
-        velocity_[i][j] = momentum_ * velocity_[i][j] + g;
-        p.value[j] -= lr_ * velocity_[i][j];
-      } else {
-        p.value[j] -= lr_ * g;
-      }
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, double lr, double beta1, double beta2,
            double eps, double weight_decay)
-    : Optimizer(std::move(params), lr, weight_decay),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
-      eps_(eps) {
+      eps_(eps),
+      weight_decay_(weight_decay) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (Parameter* p : params_) {
@@ -47,14 +21,21 @@ Adam::Adam(std::vector<Parameter*> params, double lr, double beta1, double beta2
   }
 }
 
-void Adam::step() {
+void Adam::step(std::span<const Tensor> grads) {
+  if (grads.size() != params_.size()) {
+    throw std::invalid_argument("Adam::step: expected one gradient per parameter");
+  }
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
+    const Tensor& grad = grads[i];
+    if (!grad.same_shape(p.value)) {
+      throw std::invalid_argument("Adam::step: gradient shape differs from " + p.name);
+    }
     for (std::size_t j = 0; j < p.value.size(); ++j) {
-      const double g = p.grad[j] + weight_decay_ * p.value[j];
+      const double g = grad[j] + weight_decay_ * p.value[j];
       m_[i][j] = beta1_ * m_[i][j] + (1.0 - beta1_) * g;
       v_[i][j] = beta2_ * v_[i][j] + (1.0 - beta2_) * g * g;
       const double mhat = m_[i][j] / bc1;
@@ -64,7 +45,7 @@ void Adam::step() {
   }
 }
 
-ReduceLrOnPlateau::ReduceLrOnPlateau(Optimizer& opt, std::size_t patience,
+ReduceLrOnPlateau::ReduceLrOnPlateau(Adam& opt, std::size_t patience,
                                      double factor, double min_lr)
     : opt_(&opt), patience_(patience), factor_(factor), min_lr_(min_lr) {}
 

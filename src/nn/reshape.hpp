@@ -6,61 +6,49 @@
 
 namespace magic::nn {
 
-/// Flattens any input to rank-1; backward restores the original shape.
+/// Flattens each sample to rank-1: (N x ...) -> (N x prod(...)). Records
+/// the input shape; the storage moves through untouched.
 class Flatten : public Module {
  public:
-  Tensor forward(const Tensor& input) override {
+  Tensor forward(Tensor input, Tape* tape) const override {
     MAGIC_SHAPE_CONTRACT_ANY("Flatten::forward", input);
-    input_shape_ = input.shape();
-    return input.reshape({input.size()});
-  }
-  Tensor backward(const Tensor& grad_output) override {
-    return grad_output.reshape(input_shape_);
-  }
-  /// Flattens everything after the leading batch dimension.
-  Tensor forward_batch(const Tensor& input) const override {
-    return forward_batch_owned(Tensor(input));
-  }
-  /// Owned input: pure metadata change, storage moves through untouched.
-  Tensor forward_batch_owned(Tensor&& input) const override {
-    (void)batch_item_shape(input, "Flatten::forward_batch");
+    if (input.rank() == 0 || input.dim(0) == 0) {
+      throw std::invalid_argument("Flatten::forward: empty batch " + input.describe());
+    }
+    if (tape != nullptr) tape->push(input.shape());
     const std::size_t batch = input.dim(0);
-    return std::move(input).reshape({batch, input.size() / batch});
+    const std::size_t width = input.size() / batch;
+    return std::move(input).reshape({batch, width});
+  }
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override {
+    check_gradients("Flatten::backward", grads, 0);
+    return std::move(grad_output).reshape(tape.pop_indices());
   }
   std::string name() const override { return "Flatten"; }
-
- private:
-  Shape input_shape_;
 };
 
-/// Reshapes to a fixed target shape (total size must match).
+/// Reshapes each sample to a fixed target shape (total size must match):
+/// (N x ...) -> (N x target). Records the input shape.
 class FixedReshape : public Module {
  public:
   explicit FixedReshape(Shape target) : target_(std::move(target)) {}
 
-  Tensor forward(const Tensor& input) override {
-    MAGIC_SHAPE_CONTRACT_SIZE("FixedReshape::forward", input, target_size());
-    input_shape_ = input.shape();
-    return input.reshape(target_);
-  }
-  Tensor backward(const Tensor& grad_output) override {
-    return grad_output.reshape(input_shape_);
-  }
-  /// Reshapes each sample to the target shape under a leading batch dim.
-  Tensor forward_batch(const Tensor& input) const override {
-    return forward_batch_owned(Tensor(input));
-  }
-  /// Owned input: pure metadata change, storage moves through untouched.
-  Tensor forward_batch_owned(Tensor&& input) const override {
-    (void)batch_item_shape(input, "FixedReshape::forward_batch");
-    const std::size_t batch = input.dim(0);
-    if (input.size() != batch * target_size()) {
-      throw std::invalid_argument("FixedReshape::forward_batch: per-sample "
-                                  "size mismatch for " + input.describe());
+  Tensor forward(Tensor input, Tape* tape) const override {
+    MAGIC_SHAPE_CONTRACT_SIZE("FixedReshape::forward", input,
+                              (input.rank() == 0 ? 0 : input.dim(0)) * target_size());
+    if (input.rank() == 0 || input.dim(0) == 0 ||
+        input.size() != input.dim(0) * target_size()) {
+      throw std::invalid_argument("FixedReshape::forward: per-sample size mismatch for " +
+                                  input.describe());
     }
-    Shape batched{batch};
-    for (std::size_t d : target_) batched.push_back(d);
+    if (tape != nullptr) tape->push(input.shape());
+    Shape batched{input.dim(0)};
+    batched.insert(batched.end(), target_.begin(), target_.end());
     return std::move(input).reshape(std::move(batched));
+  }
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override {
+    check_gradients("FixedReshape::backward", grads, 0);
+    return std::move(grad_output).reshape(tape.pop_indices());
   }
   std::string name() const override { return "FixedReshape"; }
 
@@ -71,8 +59,7 @@ class FixedReshape : public Module {
     return total;
   }
 
-  Shape target_;
-  Shape input_shape_;
+  const Shape target_;
 };
 
 }  // namespace magic::nn

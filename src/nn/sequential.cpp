@@ -4,64 +4,51 @@
 
 namespace magic::nn {
 
-Tensor Sequential::forward(const Tensor& input) {
+void Sequential::push_back(std::unique_ptr<Module> m) {
+  const std::size_t count = m->parameters().size();
+  children_.push_back({std::move(m), count});
+}
+
+std::uint64_t Sequential::child_seed(std::uint64_t seed, std::size_t index) noexcept {
+  std::uint64_t s = seed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(index);
+  s ^= s >> 30;
+  s *= 0xBF58476D1CE4E5B9ULL;
+  s ^= s >> 27;
+  s *= 0x94D049BB133111EBULL;
+  s ^= s >> 31;
+  return s;
+}
+
+Tensor Sequential::forward(Tensor input, Tape* tape) const {
   MAGIC_SHAPE_CONTRACT_ANY("Sequential::forward", input);  // children check
-  Tensor x = input;
-  for (auto& m : modules_) x = m->forward(x);
-  return x;
+  const std::optional<std::uint64_t> seed =
+      tape != nullptr ? tape->seed() : std::nullopt;
+  for (std::size_t i = 0; i < children_.size(); ++i) {
+    if (seed) tape->set_seed(child_seed(*seed, i + 1));
+    input = children_[i].module->forward(std::move(input), tape);
+  }
+  if (seed) tape->set_seed(*seed);
+  return input;
 }
 
-Tensor Sequential::forward_batch(const Tensor& input) const {
-  if (modules_.empty()) return input;
-  // The first child reads the caller's tensor; every intermediate is owned
-  // by this loop, so reshape/elementwise children recycle its storage
-  // instead of copying (see Module::forward_batch_owned).
-  Tensor x = modules_.front()->forward_batch(input);
-  for (std::size_t i = 1; i < modules_.size(); ++i) {
-    x = modules_[i]->forward_batch_owned(std::move(x));
+Tensor Sequential::backward(Tensor grad_output, Tape& tape, Gradients grads) const {
+  std::size_t end = 0;
+  for (const Child& child : children_) end += child.parameter_count;
+  check_gradients("Sequential::backward", grads, end);
+  for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
+    end -= it->parameter_count;
+    grad_output = it->module->backward(std::move(grad_output), tape,
+                                       grads.subspan(end, it->parameter_count));
   }
-  return x;
-}
-
-Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) {
-    g = (*it)->backward(g);
-  }
-  return g;
+  return grad_output;
 }
 
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> params;
-  for (auto& m : modules_) {
-    for (Parameter* p : m->parameters()) params.push_back(p);
+  for (Child& child : children_) {
+    for (Parameter* p : child.module->parameters()) params.push_back(p);
   }
   return params;
-}
-
-void Sequential::set_training(bool training) {
-  Module::set_training(training);
-  for (auto& m : modules_) m->set_training(training);
-}
-
-void Sequential::set_grad_enabled(bool enabled) {
-  Module::set_grad_enabled(enabled);
-  for (auto& m : modules_) m->set_grad_enabled(enabled);
-}
-
-void Sequential::reseed_rng(std::uint64_t seed) {
-  // splitmix64 finalizer mixes the child index into the seed so each module
-  // gets an uncorrelated stream.
-  std::size_t index = 0;
-  for (auto& m : modules_) {
-    std::uint64_t s = seed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(++index);
-    s ^= s >> 30;
-    s *= 0xBF58476D1CE4E5B9ULL;
-    s ^= s >> 27;
-    s *= 0x94D049BB133111EBULL;
-    s ^= s >> 31;
-    m->reseed_rng(s);
-  }
 }
 
 }  // namespace magic::nn

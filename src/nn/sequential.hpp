@@ -2,6 +2,7 @@
 // Ordered container of modules executed front-to-back (and reversed on
 // backward). Used for the classifier heads that follow the graph stages.
 
+#include <cstdint>
 #include <memory>
 
 #include "nn/module.hpp"
@@ -18,30 +19,33 @@ class Sequential : public Module {
   M& emplace(Args&&... args) {
     auto mod = std::make_unique<M>(std::forward<Args>(args)...);
     M& ref = *mod;
-    modules_.push_back(std::move(mod));
+    push_back(std::move(mod));
     return ref;
   }
 
-  void push_back(std::unique_ptr<Module> m) { modules_.push_back(std::move(m)); }
+  void push_back(std::unique_ptr<Module> m);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  /// Chains the children's forward_batch; the batch stays fused wherever a
-  /// child provides a native batched kernel.
-  Tensor forward_batch(const Tensor& input) const override;
+  /// Chains the children's forwards. On a seeded tape child i runs on its
+  /// own stream, child_seed(seed, i + 1), so sibling stochastic layers get
+  /// uncorrelated masks from one seed.
+  Tensor forward(Tensor input, Tape* tape) const override;
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override;
   std::vector<Parameter*> parameters() override;
-  void set_training(bool training) override;
-  void set_grad_enabled(bool enabled) override;
-  /// Derives a distinct child seed per module index, so sibling stochastic
-  /// layers get uncorrelated streams from one seed.
-  void reseed_rng(std::uint64_t seed) override;
   std::string name() const override { return "Sequential"; }
 
-  std::size_t size() const noexcept { return modules_.size(); }
-  Module& at(std::size_t i) { return *modules_.at(i); }
+  std::size_t size() const noexcept { return children_.size(); }
+  Module& at(std::size_t i) { return *children_.at(i).module; }
+
+  /// The stream seed child `index` (1-based) runs on (splitmix64 finalizer
+  /// over the index-mixed seed).
+  static std::uint64_t child_seed(std::uint64_t seed, std::size_t index) noexcept;
 
  private:
-  std::vector<std::unique_ptr<Module>> modules_;
+  struct Child {
+    std::unique_ptr<Module> module;
+    std::size_t parameter_count;  // its slice of the Gradients buffer
+  };
+  std::vector<Child> children_;
 };
 
 }  // namespace magic::nn

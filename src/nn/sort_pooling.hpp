@@ -13,33 +13,26 @@
 
 namespace magic::nn {
 
-/// SortPooling with a fixed k. Input (n x C); output (k x C).
-class SortPooling : public Module {
+/// SortPooling with a fixed k over a packed batch: the input is the
+/// (total_vertices x C) concatenation of N graphs' vertex descriptors, the
+/// graphs' rows delimited by the N + 1 segment `offsets`; the output is
+/// (N x k x C). No parameters.
+class SortPooling {
  public:
   explicit SortPooling(std::size_t k);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string name() const override { return "SortPooling"; }
+  /// Sorts each segment and truncates or zero-pads it to k rows. Records
+  /// the offsets and the kept rows' order.
+  Tensor forward(const Tensor& packed, const std::vector<std::size_t>& offsets,
+                 Tape* tape) const;
+  /// (N x k x C) -> (total_vertices x C): each kept row's gradient goes back
+  /// to the row it came from, dropped rows get zero.
+  Tensor backward(Tensor grad_output, Tape& tape) const;
 
   std::size_t k() const noexcept { return k_; }
 
-  /// Packed-batch pooling: `packed` is a (total_vertices x C) concatenation
-  /// of N graphs' vertex descriptors and `offsets` the (N+1) segment bounds.
-  /// Each segment is sorted with the same comparator as forward() and
-  /// truncated/zero-padded to k rows, yielding (N x k x C). Inference-only
-  /// and const: leaves the forward()/backward() caches untouched.
-  Tensor forward_packed(const Tensor& packed,
-                        const std::vector<std::size_t>& offsets) const;
-
-  /// Row order chosen by the last forward: position p in the output came
-  /// from input row order()[p] (only the first min(n, k) entries are used).
-  const std::vector<std::size_t>& order() const noexcept { return order_; }
-
  private:
   std::size_t k_;
-  std::vector<std::size_t> order_;
-  Shape input_shape_;
 };
 
 }  // namespace magic::nn

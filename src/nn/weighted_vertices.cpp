@@ -20,35 +20,12 @@ WeightedVertices::WeightedVertices(std::size_t k, Activation activation,
   }
 }
 
-Tensor WeightedVertices::forward(const Tensor& input) {
-  MAGIC_SHAPE_CONTRACT("WeightedVertices::forward", input, shape::eq(k_),
-                       shape::any("C"));
-  if (input.rank() != 2 || input.dim(0) != k_) {
-    throw std::invalid_argument("WeightedVertices::forward: expected (" +
-                                std::to_string(k_) + " x C), got " + input.describe());
-  }
-  const std::size_t c = input.dim(1);
-  Tensor preact = Tensor::zeros({c});
-  for (std::size_t i = 0; i < k_; ++i) {
-    const double w = weight_.value[i];
-    for (std::size_t j = 0; j < c; ++j) {
-      preact[j] += w * input[i * c + j];
-    }
-  }
-  Tensor out = tensor::map(preact,
-                           [this](double x) { return activate(activation_, x); });
-  cache_valid_ = grad_enabled();
-  if (cache_valid_) {
-    cached_input_ = input;
-    cached_preact_ = std::move(preact);
-  }
-  return out;
-}
-
-Tensor WeightedVertices::forward_batch(const Tensor& input) const {
-  (void)batch_item_shape(input, "WeightedVertices::forward_batch");
-  if (input.rank() != 3 || input.dim(1) != k_) {
-    throw std::invalid_argument("WeightedVertices::forward_batch: expected (batch x " +
+Tensor WeightedVertices::forward(Tensor input, Tape* tape) const {
+  MAGIC_SHAPE_CONTRACT("WeightedVertices::forward", input, shape::any("N"),
+                       shape::eq(k_), shape::any("C"));
+  check_batch("WeightedVertices::forward", input, 3);
+  if (input.dim(1) != k_) {
+    throw std::invalid_argument("WeightedVertices::forward: expected (N x " +
                                 std::to_string(k_) + " x C), got " +
                                 input.describe());
   }
@@ -62,33 +39,43 @@ Tensor WeightedVertices::forward_batch(const Tensor& input) const {
       const double w = weight_.value[i];
       for (std::size_t j = 0; j < c; ++j) po[j] += w * in[i * c + j];
     }
-    for (std::size_t j = 0; j < c; ++j) po[j] = activate(activation_, po[j]);
   }
+  if (tape != nullptr) {
+    tape->push(std::move(input));
+    tape->push(out);  // the pre-activations
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = activate(activation_, out[i]);
   return out;
 }
 
-Tensor WeightedVertices::backward(const Tensor& grad_output) {
-  if (!cache_valid_) {
-    throw std::logic_error(
-        "WeightedVertices::backward: no cached forward (grad caching disabled)");
-  }
-  if (!grad_output.same_shape(cached_preact_)) {
+Tensor WeightedVertices::backward(Tensor grad_output, Tape& tape,
+                                  Gradients grads) const {
+  check_gradients("WeightedVertices::backward", grads, 1);
+  const Tensor preact = tape.pop_tensor();
+  const Tensor input = tape.pop_tensor();
+  if (!grad_output.same_shape(preact)) {
     throw std::invalid_argument("WeightedVertices::backward: grad shape mismatch");
   }
-  const std::size_t c = cached_preact_.dim(0);
-  Tensor ds = grad_output;
-  for (std::size_t j = 0; j < c; ++j) {
-    ds[j] *= activate_grad(activation_, cached_preact_[j]);
+  const std::size_t batch = preact.dim(0);
+  const std::size_t c = preact.dim(1);
+  Tensor& ds = grad_output;
+  for (std::size_t j = 0; j < ds.size(); ++j) {
+    ds[j] *= activate_grad(activation_, preact[j]);
   }
-  Tensor grad_in = Tensor::zeros(cached_input_.shape());
-  for (std::size_t i = 0; i < k_; ++i) {
-    double wg = 0.0;
-    const double w = weight_.value[i];
-    for (std::size_t j = 0; j < c; ++j) {
-      wg += ds[j] * cached_input_[i * c + j];
-      grad_in[i * c + j] = w * ds[j];
+  Tensor grad_in = Tensor::zeros(input.shape());
+  for (std::size_t s = 0; s < batch; ++s) {
+    const double* x = input.data() + s * k_ * c;
+    const double* d = ds.data() + s * c;
+    double* gi = grad_in.data() + s * k_ * c;
+    for (std::size_t i = 0; i < k_; ++i) {
+      double wg = 0.0;
+      const double w = weight_.value[i];
+      for (std::size_t j = 0; j < c; ++j) {
+        wg += d[j] * x[i * c + j];
+        gi[i * c + j] = w * d[j];
+      }
+      grads[0][i] += wg;
     }
-    weight_.grad[i] += wg;
   }
   return grad_in;
 }

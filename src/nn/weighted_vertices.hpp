@@ -17,15 +17,14 @@
 
 namespace magic::nn {
 
-/// Input (k x C); output rank-1 tensor of length C.
+/// Input (N x k x C); output (N x C): one length-C embedding per sample.
 class WeightedVertices : public Module {
  public:
   WeightedVertices(std::size_t k, Activation activation, util::Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  /// (batch x k x C) -> (batch x C); identical accumulation order per sample.
-  Tensor forward_batch(const Tensor& input) const override;
+  /// Records the input and the pre-activations S = W Zsp.
+  Tensor forward(Tensor input, Tape* tape) const override;
+  Tensor backward(Tensor grad_output, Tape& tape, Gradients grads) const override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override { return "WeightedVertices"; }
 
@@ -35,9 +34,6 @@ class WeightedVertices : public Module {
   std::size_t k_;
   Activation activation_;
   Parameter weight_;  // (k)
-  Tensor cached_input_;
-  Tensor cached_preact_;  // S = W Zsp, length C
-  bool cache_valid_ = false;
 };
 
 }  // namespace magic::nn

@@ -20,9 +20,9 @@
 //                                          PendingVerdict resolved
 //
 // Inference is a const function of the weights and a caller-owned
-// nn::InferenceWorkspace (DgcnnModel::predict_batch), so every worker
-// scores on the one classifier the server references; each worker owns
-// one workspace for its lifetime. No model is copied.
+// nn::InferenceWorkspace (DgcnnModel::forward without a tape), so every
+// worker scores on the one classifier the server references; each worker
+// owns one workspace for its lifetime. No model is copied.
 //
 // Dynamic micro-batching: a worker blocks only while the queue is empty,
 // then takes every request already queued, up to `max_batch`, in one queue

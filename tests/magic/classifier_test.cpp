@@ -1,11 +1,13 @@
 #include "magic/classifier.hpp"
 
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "magic/core_test_util.hpp"
 #include "temp_file.hpp"
+#include "util/thread_pool.hpp"
 
 namespace magic::core {
 namespace {
@@ -194,18 +196,78 @@ TEST(MagicClassifier, ExplainProducesNormalizedSaliency) {
 }
 
 TEST(MagicClassifier, ExplainDoesNotPerturbTrainingGradients) {
+  // explain() between a training forward and its backward leaves that
+  // backward's gradients bit for bit unchanged: it works on its own tape
+  // and gradient buffer.
   data::Dataset d = separable_dataset(8, 28);
   MagicClassifier clf(small_config(), fast_train(), 29);
   clf.fit(d, 0.2);
   util::Rng rng(30);
-  acfg::Acfg g = make_graph(1, 6, false, rng);
-  // Preload known gradient values, explain, verify untouched.
-  auto params = clf.model()->parameters();
-  for (auto* p : params) p->grad.fill(0.25);
-  clf.explain(g);
-  for (auto* p : params) {
-    for (std::size_t i = 0; i < p->grad.size(); ++i) {
-      ASSERT_EQ(p->grad[i], 0.25);
+  const acfg::Acfg g = make_graph(1, 6, false, rng);
+  const acfg::Acfg other = make_graph(0, 9, true, rng);
+  const DgcnnModel& model = *clf.model();
+  auto training_gradients = [&](bool explain_between) {
+    nn::Tape tape(31);
+    const nn::Tensor lp = testing::forward_one(model, g, &tape);
+    if (explain_between) clf.explain(other);
+    std::vector<nn::Tensor> grads = nn::zero_gradients(model.parameters());
+    const nn::Tensor row = lp.reshape({lp.dim(1)});
+    model.backward(nn::NllLoss().backward(row, 1).reshape(lp.shape()), tape, grads);
+    return grads;
+  };
+  const std::vector<nn::Tensor> want = training_gradients(false);
+  const std::vector<nn::Tensor> got = training_gradients(true);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    for (std::size_t j = 0; j < want[i].size(); ++j) ASSERT_EQ(got[i][j], want[i][j]);
+  }
+}
+
+// explain() and classify() are const: four threads explaining and
+// classifying on one classifier at once reproduce the serial results bit
+// for bit (and run clean under TSan).
+TEST(MagicClassifier, ConcurrentExplainAndClassifyMatchSerial) {
+  data::Dataset d = separable_dataset(8, 32);
+  MagicClassifier trained(small_config(), fast_train(), 33);
+  trained.fit(d, 0.2);
+  const MagicClassifier& clf = trained;
+  util::Rng rng(34);
+  std::vector<acfg::Acfg> graphs;
+  for (std::size_t i = 0; i < 6; ++i) {
+    graphs.push_back(make_graph(static_cast<int>(i % 2), 3 + 4 * i, i % 2 == 0, rng));
+  }
+  std::vector<Explanation> serial_explanations;
+  for (const acfg::Acfg& g : graphs) serial_explanations.push_back(clf.explain(g));
+  const std::vector<Prediction> serial_predictions = clf.classify(graphs);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<Explanation>> explained(kThreads);
+  std::vector<std::vector<Prediction>> classified(kThreads);
+  {
+    util::ThreadPool pool(kThreads);
+    pool.parallel_for(kThreads, [&](std::size_t t) {
+      for (std::size_t round = 0; round < 3; ++round) {
+        if ((t + round) % 2 == 0) {
+          explained[t].clear();
+          for (const acfg::Acfg& g : graphs) explained[t].push_back(clf.explain(g));
+        } else {
+          classified[t] = clf.classify(graphs);
+        }
+      }
+    });
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(explained[t].size(), graphs.size());
+    ASSERT_EQ(classified[t].size(), graphs.size());
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      const Explanation& want = serial_explanations[i];
+      const Explanation& got = explained[t][i];
+      EXPECT_EQ(got.prediction.family_index, want.prediction.family_index);
+      EXPECT_EQ(got.prediction.probabilities, want.prediction.probabilities);
+      EXPECT_EQ(got.vertex_saliency, want.vertex_saliency);
+      EXPECT_EQ(got.channel_saliency, want.channel_saliency);
+      EXPECT_EQ(classified[t][i].family_index, serial_predictions[i].family_index);
+      EXPECT_EQ(classified[t][i].probabilities, serial_predictions[i].probabilities);
     }
   }
 }

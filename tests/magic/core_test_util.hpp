@@ -61,16 +61,23 @@ inline data::Dataset separable_dataset(std::size_t per_class, std::uint64_t seed
   return d;
 }
 
-/// The reference the packed-inference suites compare against: one
-/// eval-mode DgcnnModel::forward per graph, the training-time code path.
+/// Log-probabilities (1 x classes) of one graph: DgcnnModel::forward over
+/// a one-graph pack, recording on `tape` when it is non-null.
+inline nn::Tensor forward_one(const DgcnnModel& model, const acfg::Acfg& graph,
+                              nn::Tape* tape = nullptr) {
+  nn::InferenceWorkspace workspace;
+  return model.forward(GraphBatch::pack(std::span(&graph, 1)), workspace, tape);
+}
+
+/// The reference the packed-inference suites compare against: one graph
+/// per forward, the way the trainer runs it.
 inline std::vector<Prediction> eval_forward_predictions(
-    MagicClassifier& clf, std::span<const acfg::Acfg> graphs) {
-  DgcnnModel& model = *clf.model();
-  model.set_training(false);
+    const MagicClassifier& clf, std::span<const acfg::Acfg> graphs) {
+  const DgcnnModel& model = *clf.model();
   std::vector<Prediction> out;
   out.reserve(graphs.size());
   for (const acfg::Acfg& g : graphs) {
-    const nn::Tensor probs = nn::exp_probs(model.forward(g));
+    const nn::Tensor probs = nn::exp_probs(forward_one(model, g));
     Prediction p;
     p.family_index = tensor::argmax(probs);
     p.family_name = clf.family_names().at(p.family_index);

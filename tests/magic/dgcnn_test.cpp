@@ -1,20 +1,19 @@
 #include "magic/dgcnn.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "magic/core_test_util.hpp"
 #include "nn/loss.hpp"
-#include "util/check.hpp"
+#include "test_util.hpp"
 
 namespace magic::core {
 namespace {
 
+using testing::forward_one;
 using testing::make_graph;
 
 DgcnnConfig base_config(PoolingType pooling, RemainingLayer remaining) {
@@ -56,12 +55,12 @@ TEST(DgcnnModel, ForwardOutputsLogProbsForAllVariants) {
   for (auto& cfg : all_variants()) {
     util::Rng rng(2);
     DgcnnModel model(cfg, rng, /*sort_k_hint=*/6);
-    model.set_training(false);
     for (std::size_t n : {1u, 4u, 9u, 30u}) {
       acfg::Acfg g = make_graph(0, n, n % 2 == 0, data_rng);
-      nn::Tensor out = model.forward(g);
-      ASSERT_EQ(out.rank(), 1u) << cfg.describe();
-      ASSERT_EQ(out.dim(0), 3u) << cfg.describe();
+      nn::Tensor out = forward_one(model, g);
+      ASSERT_EQ(out.rank(), 2u) << cfg.describe();
+      ASSERT_EQ(out.dim(0), 1u) << cfg.describe();
+      ASSERT_EQ(out.dim(1), 3u) << cfg.describe();
       double total = 0.0;
       for (std::size_t c = 0; c < 3; ++c) {
         EXPECT_LE(out[c], 1e-9);
@@ -72,6 +71,22 @@ TEST(DgcnnModel, ForwardOutputsLogProbsForAllVariants) {
   }
 }
 
+/// One training step's gradients: forward on `tape`, NLL of `label`,
+/// backward into a fresh buffer. Returns the parameter gradients followed
+/// by d(loss)/d(attributes).
+std::vector<nn::Tensor> train_step(const DgcnnModel& model, const acfg::Acfg& g,
+                                   std::size_t label, nn::Tape& tape) {
+  const nn::Tensor lp = forward_one(model, g, &tape);
+  const nn::Tensor row = lp.reshape({lp.dim(1)});
+  const nn::NllLoss loss;
+  std::vector<nn::Tensor> grads = nn::zero_gradients(model.parameters());
+  nn::Tensor input_grad =
+      model.backward(loss.backward(row, label).reshape(lp.shape()), tape, grads);
+  EXPECT_TRUE(tape.empty());
+  grads.push_back(std::move(input_grad));
+  return grads;
+}
+
 TEST(DgcnnModel, BackwardRunsForAllVariantsAndGraphSizes) {
   util::Rng data_rng(3);
   for (auto& cfg : all_variants()) {
@@ -79,10 +94,8 @@ TEST(DgcnnModel, BackwardRunsForAllVariantsAndGraphSizes) {
     DgcnnModel model(cfg, rng, 6);
     for (std::size_t n : {1u, 5u, 20u}) {
       acfg::Acfg g = make_graph(1, n, true, data_rng);
-      nn::NllLoss loss;
-      nn::Tensor lp = model.forward(g);
-      loss.forward(lp, 1);
-      EXPECT_NO_THROW(model.backward(loss.backward())) << cfg.describe();
+      nn::Tape tape(n);
+      EXPECT_NO_THROW(train_step(model, g, 1, tape)) << cfg.describe();
     }
   }
 }
@@ -93,17 +106,18 @@ TEST(DgcnnModel, GradientsNonZeroAfterBackward) {
   DgcnnConfig cfg = base_config(PoolingType::AdaptivePooling, RemainingLayer::Conv1D);
   DgcnnModel model(cfg, rng, 6);
   acfg::Acfg g = make_graph(0, 8, true, data_rng);
-  nn::NllLoss loss;
-  loss.forward(model.forward(g), 0);
-  model.backward(loss.backward());
+  nn::Tape tape(1);
   double total_grad = 0.0;
-  for (auto* p : model.parameters()) total_grad += tensor::norm(p->grad);
+  for (const nn::Tensor& grad : train_step(model, g, 0, tape)) {
+    total_grad += tensor::norm(grad);
+  }
   EXPECT_GT(total_grad, 1e-8);
 }
 
 TEST(DgcnnModel, EndToEndGradientMatchesNumericOnFirstLayer) {
   // Full-model gradient check on the first graph-conv weight matrix (the
-  // longest backprop path through pooling and the head).
+  // longest backprop path through pooling and the head), through an
+  // eval-semantics tape (no dropout) as MagicClassifier::explain runs it.
   util::Rng data_rng(7);
   util::Rng rng(8);
   DgcnnConfig cfg = base_config(PoolingType::SortPooling, RemainingLayer::WeightedVertices);
@@ -111,21 +125,15 @@ TEST(DgcnnModel, EndToEndGradientMatchesNumericOnFirstLayer) {
   cfg.hidden_dim = 5;
   cfg.graph_conv_activation = nn::Activation::Tanh;
   DgcnnModel model(cfg, rng, 4);
-  model.set_training(false);
-  // Eval mode disables grad caching; the numeric check needs an eval-mode
-  // backward (no dropout), so opt back in like MagicClassifier::explain.
-  model.set_grad_enabled(true);
   acfg::Acfg g = make_graph(0, 6, true, data_rng);
 
   auto loss_value = [&]() {
-    nn::NllLoss loss;
-    return loss.forward(model.forward(g), 2);
+    const nn::Tensor lp = forward_one(model, g);
+    return nn::NllLoss().forward(lp.reshape({lp.dim(1)}), 2);
   };
 
-  for (auto* p : model.parameters()) p->zero_grad();
-  nn::NllLoss loss;
-  loss.forward(model.forward(g), 2);
-  model.backward(loss.backward());
+  nn::Tape tape;
+  const std::vector<nn::Tensor> grads = train_step(model, g, 2, tape);
 
   nn::Parameter* w0 = model.parameters().front();
   const double eps = 1e-6;
@@ -137,19 +145,83 @@ TEST(DgcnnModel, EndToEndGradientMatchesNumericOnFirstLayer) {
     const double lo = loss_value();
     w0->value[i] = orig;
     const double numeric = (hi - lo) / (2 * eps);
-    EXPECT_NEAR(w0->grad[i], numeric, 1e-4) << "at " << i;
+    EXPECT_NEAR(grads.front()[i], numeric, 1e-4) << "at " << i;
   }
+}
+
+/// The five model variants the gradient checks and golden trajectories
+/// cover: AMP with every graph-conv operator, SortPooling with either head.
+std::vector<DgcnnConfig> gradcheck_variants() {
+  std::vector<DgcnnConfig> variants;
+  for (auto op : {nn::GraphConvOperator::Paper, nn::GraphConvOperator::Sage,
+                  nn::GraphConvOperator::Tag}) {
+    DgcnnConfig cfg = base_config(PoolingType::AdaptivePooling, RemainingLayer::Conv1D);
+    cfg.graph_conv_op = op;
+    variants.push_back(cfg);
+  }
+  variants.push_back(base_config(PoolingType::SortPooling, RemainingLayer::WeightedVertices));
+  variants.push_back(base_config(PoolingType::SortPooling, RemainingLayer::Conv1D));
+  for (DgcnnConfig& cfg : variants) {
+    cfg.graph_conv_channels = {4, 3};
+    cfg.graph_conv_activation = nn::Activation::Tanh;
+    cfg.hidden_dim = 5;
+    cfg.conv2d_channels = 2;
+    cfg.conv1d_channels_first = 2;
+    cfg.conv1d_channels_second = 3;
+    cfg.dropout_rate = 0.5;        // an unseeded tape keeps it the identity
+    cfg.log1p_attributes = false;  // backward's input gradient is then d/d(raw)
+  }
+  return variants;
+}
+
+TEST(DgcnnModel, GradientsMatchNumericForEveryVariant) {
+  // Every parameter and the input gradient of the whole model, through the
+  // same forward/backward pair training runs, against central differences.
+  util::Rng data_rng(24);
+  const acfg::Acfg graph = make_graph(1, 7, false, data_rng);
+  for (const DgcnnConfig& cfg : gradcheck_variants()) {
+    SCOPED_TRACE(cfg.describe());
+    util::Rng rng(25);
+    DgcnnModel model(cfg, rng, 4);
+    magic::testing::check_function_gradients(
+        [&](const nn::Tensor& attributes, nn::Tape* tape) {
+          acfg::Acfg g = graph;
+          g.attributes = attributes;
+          return forward_one(model, g, tape);
+        },
+        [&](const nn::Tensor& grad, nn::Tape& tape, nn::Gradients grads) {
+          return model.backward(grad, tape, grads);
+        },
+        model.parameters(), graph.attributes, rng, 1e-6, 1e-6);
+  }
+}
+
+TEST(DgcnnModel, BackwardRejectsATapeOverSeveralGraphs) {
+  util::Rng data_rng(26);
+  const std::vector<acfg::Acfg> graphs{make_graph(0, 5, true, data_rng),
+                                       make_graph(1, 6, false, data_rng)};
+  util::Rng rng(27);
+  const DgcnnModel model(base_config(PoolingType::AdaptivePooling, RemainingLayer::Conv1D),
+                         rng, 6);
+  nn::InferenceWorkspace workspace;
+  nn::Tape tape(1);
+  const nn::Tensor lp = model.forward(
+      GraphBatch::pack(std::span<const acfg::Acfg>(graphs)), workspace, &tape);
+  ASSERT_EQ(lp.dim(0), 2u);
+  std::vector<nn::Tensor> grads = nn::zero_gradients(model.parameters());
+  EXPECT_THROW(model.backward(nn::Tensor::zeros(lp.shape()), tape, grads),
+               std::invalid_argument);
 }
 
 TEST(DgcnnModel, RejectsEmptyGraphAndChannelMismatch) {
   util::Rng rng(9);
   DgcnnModel model(base_config(PoolingType::SortPooling, RemainingLayer::Conv1D), rng, 4);
   acfg::Acfg empty;
-  EXPECT_THROW(model.forward(empty), std::invalid_argument);
+  EXPECT_THROW(forward_one(model, empty), std::invalid_argument);
   acfg::Acfg bad;
   bad.out_edges = {{}};
   bad.attributes = tensor::Tensor({1, 5});
-  EXPECT_THROW(model.forward(bad), std::invalid_argument);
+  EXPECT_THROW(forward_one(model, bad), std::invalid_argument);
 }
 
 TEST(DgcnnModel, RejectsSingleClassConfig) {
@@ -178,12 +250,12 @@ TEST(DgcnnModel, DeterministicInEvalMode) {
   util::Rng data_rng(13);
   util::Rng rng(14);
   DgcnnConfig cfg = base_config(PoolingType::AdaptivePooling, RemainingLayer::Conv1D);
-  cfg.dropout_rate = 0.5;  // must be inert in eval mode
+  cfg.dropout_rate = 0.5;  // must be inert without a seeded tape
   DgcnnModel model(cfg, rng, 4);
-  model.set_training(false);
   acfg::Acfg g = make_graph(0, 7, false, data_rng);
-  nn::Tensor a = model.forward(g);
-  nn::Tensor b = model.forward(g);
+  nn::Tensor a = forward_one(model, g);
+  nn::Tape unseeded;
+  nn::Tensor b = forward_one(model, g, &unseeded);
   EXPECT_TRUE(tensor::allclose(a, b, 0.0));
 }
 
@@ -195,9 +267,7 @@ TEST(DgcnnModel, NormalizationAblationChangesOutput) {
   without.normalize_propagation = false;
   util::Rng r1(18), r2(18);
   DgcnnModel m1(with, r1, 4), m2(without, r2, 4);
-  m1.set_training(false);
-  m2.set_training(false);
-  EXPECT_FALSE(tensor::allclose(m1.forward(g), m2.forward(g), 1e-9));
+  EXPECT_FALSE(tensor::allclose(forward_one(m1, g), forward_one(m2, g), 1e-9));
 }
 
 TEST(DgcnnModel, Log1pPreprocessingChangesOutput) {
@@ -208,49 +278,12 @@ TEST(DgcnnModel, Log1pPreprocessingChangesOutput) {
   without.log1p_attributes = false;
   util::Rng r1(16), r2(16);
   DgcnnModel m1(with, r1, 4), m2(without, r2, 4);
-  m1.set_training(false);
-  m2.set_training(false);
-  EXPECT_FALSE(tensor::allclose(m1.forward(g), m2.forward(g), 1e-9));
+  EXPECT_FALSE(tensor::allclose(forward_one(m1, g), forward_one(m2, g), 1e-9));
 }
 
-TEST(DgcnnModel, ConcurrentForwardOnOneInstanceThrowsInCheckedBuild) {
-  util::Rng data_rng(49);
-  util::Rng rng(50);
-  DgcnnModel model(base_config(PoolingType::SortPooling, RemainingLayer::WeightedVertices),
-                   rng, 6);
-  // Big enough that the first forward is still running when the second
-  // thread enters it.
-  const acfg::Acfg big = make_graph(0, 4000, true, data_rng);
-  const acfg::Acfg small = make_graph(0, 6, true, data_rng);
-
-  EXPECT_FALSE(model.forward_in_flight());
-  model.set_training(false);
-  std::thread first([&] { (void)model.forward(big); });
-  // Wait for the first forward to actually be in flight (the 4000-vertex
-  // pass runs for many milliseconds; bound the wait anyway).
-  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  bool observed = false;
-  while (std::chrono::steady_clock::now() < give_up) {
-    if (model.forward_in_flight()) {
-      observed = true;
-      break;
-    }
-    std::this_thread::yield();
-  }
-  if (observed) {
-    // Entering forward on the same instance from this thread must trip the
-    // guard before any layer state is touched.
-    EXPECT_THROW((void)model.forward(small), util::CheckError);
-  }
-  first.join();
-  EXPECT_FALSE(model.forward_in_flight());
-  // The guard clears with the owning forward: the model is usable again.
-  EXPECT_NO_THROW((void)model.forward(small));
-}
-
-// predict_batch is const and modeless: run between a training forward()
-// and its backward() it must leave every cache backward() reads (and the
-// dropout stream) untouched, and score with eval semantics anyway.
+// The model keeps no per-call state: an inference forward run between a
+// training forward and its backward must leave that backward's gradients
+// (and the dropout stream) untouched, and score with eval semantics anyway.
 TEST(DgcnnModel, PredictBatchBetweenForwardAndBackwardKeepsGradients) {
   util::Rng data_rng(19);
   const acfg::Acfg g = make_graph(1, 9, true, data_rng);
@@ -263,19 +296,16 @@ TEST(DgcnnModel, PredictBatchBetweenForwardAndBackwardKeepsGradients) {
     DgcnnModel model(cfg, rng, 6);
     nn::Tensor scored_in_training;
     auto gradients = [&](bool interleave) {
-      for (auto* p : model.parameters()) p->zero_grad();
-      model.set_training(true);
-      model.reseed_rng(21);
-      nn::NllLoss loss;
-      loss.forward(model.forward(g), 1);
+      nn::Tape tape(21);
+      const nn::Tensor lp = forward_one(model, g, &tape);
       if (interleave) {
         nn::InferenceWorkspace workspace;
-        scored_in_training = model.predict_batch(batch, workspace);
+        scored_in_training = model.forward(batch, workspace);
       }
-      model.backward(loss.backward());
-      std::vector<nn::Tensor> grads;
-      for (auto* p : model.parameters()) grads.push_back(p->grad);
-      grads.push_back(model.input_gradient());
+      const nn::Tensor row = lp.reshape({lp.dim(1)});
+      std::vector<nn::Tensor> grads = nn::zero_gradients(model.parameters());
+      grads.push_back(model.backward(nn::NllLoss().backward(row, 1).reshape(lp.shape()),
+                                     tape, grads));
       return grads;
     };
     const std::vector<nn::Tensor> want = gradients(false);
@@ -289,9 +319,9 @@ TEST(DgcnnModel, PredictBatchBetweenForwardAndBackwardKeepsGradients) {
       }
     }
 
-    model.set_training(false);
     nn::InferenceWorkspace workspace;
-    const nn::Tensor scored_in_eval = model.predict_batch(batch, workspace);
+    nn::Tape unseeded;
+    const nn::Tensor scored_in_eval = model.forward(batch, workspace, &unseeded);
     ASSERT_TRUE(scored_in_eval.same_shape(scored_in_training));
     for (std::size_t j = 0; j < scored_in_eval.size(); ++j) {
       EXPECT_EQ(scored_in_training[j], scored_in_eval[j]) << cfg.describe();
@@ -299,9 +329,10 @@ TEST(DgcnnModel, PredictBatchBetweenForwardAndBackwardKeepsGradients) {
   }
 }
 
-// A pack of one on the AdaptivePooling path runs the same kernels in the
-// same order as eval-mode forward(), so the log-probabilities are bitwise
-// equal for every operator; one workspace serves every graph size.
+// Recording changes no bit of the output: the untaped forward of a pack of
+// one equals the eval-semantics forward that records for backward (the
+// pair explain() runs), on the AdaptivePooling path for every operator;
+// one workspace serves every graph size.
 TEST(DgcnnModel, PackOfOneIsBitwiseEvalForwardOnAdaptivePooling) {
   util::Rng data_rng(22);
   for (auto op : {nn::GraphConvOperator::Paper, nn::GraphConvOperator::Sage,
@@ -311,13 +342,13 @@ TEST(DgcnnModel, PackOfOneIsBitwiseEvalForwardOnAdaptivePooling) {
     cfg.dropout_rate = 0.5;
     util::Rng rng(23);
     DgcnnModel model(cfg, rng, 6);
-    model.set_training(false);
     nn::InferenceWorkspace workspace;
     for (std::size_t n : {300u, 1u, 2u, 7u, 40u}) {
       const acfg::Acfg g = make_graph(static_cast<int>(n % 2), n, n % 2 == 0, data_rng);
-      const nn::Tensor want = model.forward(g);
-      const nn::Tensor got =
-          model.predict_batch(GraphBatch::pack(std::span(&g, 1)), workspace);
+      const GraphBatch batch = GraphBatch::pack(std::span(&g, 1));
+      nn::Tape tape;
+      const nn::Tensor want = model.forward(batch, workspace, &tape);
+      const nn::Tensor got = model.forward(batch, workspace);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t j = 0; j < want.size(); ++j) {
         EXPECT_EQ(got[j], want[j]) << cfg.describe() << " n=" << n;

@@ -1,6 +1,6 @@
 // Per-operator equivalence suite for the graph-convolution zoo: every
 // operator (paper / sage / tag) must
-//   * agree packed-vs-per-graph (eval-mode DgcnnModel::forward) to 1e-9
+//   * agree packed-vs-per-graph (one DgcnnModel::forward per graph) to 1e-9
 //     across the graph-size mix below (packed inference shares one
 //     block-diagonal SpMM per layer), and
 //   * train bitwise thread-count-invariantly (the fixed-order gradient

@@ -1,7 +1,7 @@
 // Equivalence suite for packed inference: classify() (and the single-graph
-// predict() wrapper) must agree with one eval-mode DgcnnModel::forward per
-// graph to 1e-9 relative tolerance across every model variant, graph-size
-// mix (1..500 vertices, k smaller than the graph, edge-free graphs) and
+// predict() wrapper) must agree with one DgcnnModel::forward per graph to
+// 1e-9 relative tolerance across every model variant, graph-size mix
+// (1..500 vertices, k smaller than the graph, edge-free graphs) and
 // threading mode.
 
 #include <cmath>
@@ -243,8 +243,7 @@ TEST(PackedEquivalence, ModelPredictBatchRejectsChannelMismatch) {
   const std::vector<acfg::Acfg> graphs{narrow};
   const GraphBatch batch = GraphBatch::pack(std::span<const acfg::Acfg>(graphs));
   nn::InferenceWorkspace workspace;
-  EXPECT_THROW((void)clf.model()->predict_batch(batch, workspace),
-               std::invalid_argument);
+  EXPECT_THROW((void)clf.model()->forward(batch, workspace), std::invalid_argument);
 }
 
 // ---- Persistence ----------------------------------------------------------

@@ -126,22 +126,5 @@ TEST(ParallelTrainer, PerSampleSeedIsPureAndPositionSensitive) {
   EXPECT_NE(per_sample_seed(7, 0, 0), per_sample_seed(8, 0, 0));
 }
 
-TEST(ParallelTrainer, BackwardAfterEvalForwardThrows) {
-  data::Dataset d = separable_dataset(2, 9);
-  util::Rng rng(10);
-  DgcnnModel model(small_config(), rng, 6);
-  model.set_training(false);
-  const nn::Tensor log_probs = model.forward(d.samples[0]);
-  nn::Tensor grad = nn::Tensor::zeros(log_probs.shape());
-  grad[0] = 1.0;
-  // Eval-mode forward skipped the backward caches: backward must fail
-  // loudly instead of producing garbage gradients.
-  EXPECT_THROW(model.backward(grad), std::logic_error);
-  // Re-enabling grad caching (the explain() pattern) restores backward.
-  model.set_grad_enabled(true);
-  model.forward(d.samples[0]);
-  EXPECT_NO_THROW(model.backward(grad));
-}
-
 }  // namespace
 }  // namespace magic::core

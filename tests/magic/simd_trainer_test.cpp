@@ -114,16 +114,15 @@ TEST(SimdTrainer, ForwardPassAgreesAcrossLevels) {
   LevelGuard guard;
   data::Dataset d = separable_dataset(4, 9);
   util::Rng rng(10);
-  DgcnnModel model(small_config(), rng, 6);
-  model.set_training(false);
+  const DgcnnModel model(small_config(), rng, 6);
 
   simd::set_level(simd::SimdLevel::Scalar);
   std::vector<nn::Tensor> scalar_out;
-  for (const auto& sample : d.samples) scalar_out.push_back(model.forward(sample));
+  for (const auto& sample : d.samples) scalar_out.push_back(testing::forward_one(model, sample));
 
   simd::set_level(simd::SimdLevel::Avx2);
   for (std::size_t s = 0; s < d.samples.size(); ++s) {
-    const nn::Tensor avx2_out = model.forward(d.samples[s]);
+    const nn::Tensor avx2_out = testing::forward_one(model, d.samples[s]);
     ASSERT_TRUE(avx2_out.same_shape(scalar_out[s]));
     for (std::size_t i = 0; i < avx2_out.size(); ++i) {
       // One forward composes a handful of kernels, so allow a little

@@ -17,7 +17,7 @@ Tensor safe_relu_input(util::Rng& rng, tensor::Shape shape) {
 TEST(ReLU, ForwardClampsNegatives) {
   nn::ReLU relu;
   Tensor x(tensor::Shape{4}, {-1.0, 0.0, 2.0, -0.5});
-  Tensor y = relu.forward(x);
+  Tensor y = relu.forward(x, nullptr);
   EXPECT_EQ(y[0], 0.0);
   EXPECT_EQ(y[1], 0.0);
   EXPECT_EQ(y[2], 2.0);
@@ -32,7 +32,7 @@ TEST(ReLU, GradientMatchesNumeric) {
 
 TEST(Tanh, ForwardBounded) {
   nn::Tanh tanh_mod;
-  Tensor y = tanh_mod.forward(Tensor(tensor::Shape{2}, {100.0, -100.0}));
+  Tensor y = tanh_mod.forward(Tensor(tensor::Shape{2}, {100.0, -100.0}), nullptr);
   EXPECT_NEAR(y[0], 1.0, 1e-9);
   EXPECT_NEAR(y[1], -1.0, 1e-9);
 }
@@ -41,20 +41,6 @@ TEST(Tanh, GradientMatchesNumeric) {
   util::Rng rng(2);
   nn::Tanh tanh_mod;
   check_module_gradients(tanh_mod, Tensor::uniform({2, 5}, rng, -2, 2), rng);
-}
-
-TEST(Sigmoid, ForwardRange) {
-  nn::Sigmoid sig;
-  Tensor y = sig.forward(Tensor(tensor::Shape{3}, {-10.0, 0.0, 10.0}));
-  EXPECT_LT(y[0], 0.01);
-  EXPECT_NEAR(y[1], 0.5, 1e-12);
-  EXPECT_GT(y[2], 0.99);
-}
-
-TEST(Sigmoid, GradientMatchesNumeric) {
-  util::Rng rng(3);
-  nn::Sigmoid sig;
-  check_module_gradients(sig, Tensor::uniform({6}, rng, -3, 3), rng);
 }
 
 TEST(ActivationFunctional, ValuesAndDerivatives) {
@@ -72,8 +58,9 @@ TEST(ActivationFunctional, ValuesAndDerivatives) {
 
 TEST(ReLU, BackwardRejectsShapeMismatch) {
   nn::ReLU relu;
-  relu.forward(Tensor::zeros({2, 2}));
-  EXPECT_THROW(relu.backward(Tensor::zeros({3})), std::invalid_argument);
+  nn::Tape tape;
+  relu.forward(Tensor::zeros({2, 2}), &tape);
+  EXPECT_THROW(relu.backward(Tensor::zeros({3}), tape, {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -87,9 +87,13 @@ void check_against_chain(std::size_t g, std::size_t n, std::size_t c, Image kind
   }
 
   const Tensor x = make_image(kind, n, c, rng);
+  nn::Tape chain_tape;
   const Tensor want = chain.pool.forward(
-      chain.relu.forward(chain.conv.forward(x.reshape({1, n, c}))));
-  const Tensor got = fused.forward(x);
+      chain.relu.forward(chain.conv.forward(x.reshape({1, 1, n, c}), &chain_tape),
+                         &chain_tape),
+      &chain_tape);
+  nn::Tape tape;
+  const Tensor got = fused.forward(x, {0, n}, &tape);
   ASSERT_EQ(got.shape(), want.shape());
   for (std::size_t i = 0; i < got.size(); ++i) {
     ASSERT_TRUE(bitwise_equal(got[i], want[i]))
@@ -100,25 +104,26 @@ void check_against_chain(std::size_t g, std::size_t n, std::size_t c, Image kind
   }
 
   const Tensor grad = Tensor::uniform(want.shape(), rng, -1.0, 1.0);
-  chain.conv.zero_grad();
-  fused.zero_grad();
+  std::vector<Tensor> ref_grads = nn::zero_gradients(ref_params);
+  std::vector<Tensor> grads = nn::zero_gradients(params);
   const Tensor want_in = chain.conv.backward(
-      chain.relu.backward(chain.pool.backward(grad)));
-  const Tensor got_in = fused.backward(grad);
+      chain.relu.backward(chain.pool.backward(grad, chain_tape, {}), chain_tape, {}),
+      chain_tape, ref_grads);
+  const Tensor got_in = fused.backward(grad, tape, grads);
   ASSERT_EQ(got_in.shape(), (tensor::Shape{n, c}));
+  EXPECT_TRUE(tape.empty());
   for (std::size_t i = 0; i < got_in.size(); ++i) {
     ASSERT_TRUE(bitwise_equal(got_in[i], want_in[i]))
         << "input grad " << i << ": " << got_in[i] << " vs " << want_in[i];
   }
   for (std::size_t o = 0; o < kFilters; ++o) {
-    EXPECT_TRUE(bitwise_equal(params[1]->grad[o], ref_params[1]->grad[o]))
-        << "bias grad " << o;
+    EXPECT_TRUE(bitwise_equal(grads[1][o], ref_grads[1][o])) << "bias grad " << o;
   }
   if (kind == Image::NonPositive) {
-    EXPECT_EQ(params[1]->grad[0], 0.0);
+    EXPECT_EQ(grads[1][0], 0.0);
   }
-  const Tensor& wg = params[0]->grad;
-  const Tensor& ref_wg = ref_params[0]->grad;
+  const Tensor& wg = grads[0];
+  const Tensor& ref_wg = ref_grads[0];
   for (std::size_t i = 0; i < wg.size(); ++i) {
     EXPECT_LE(std::abs(wg[i] - ref_wg[i]), 1e-12 * std::abs(ref_wg[i]))
         << "weight grad " << i << ": " << wg[i] << " vs " << ref_wg[i];
@@ -139,46 +144,81 @@ TEST(AdaptiveConvPool, MatchesUnfusedChain) {
   }
 }
 
+/// check_function_gradients over one (n x C) image.
+void check_pool_gradients(nn::AdaptiveConvPool& fused, const Tensor& x, util::Rng& rng) {
+  check_function_gradients(
+      [&](const Tensor& input, nn::Tape* tape) {
+        return fused.forward(input, {0, input.dim(0)}, tape);
+      },
+      [&](const Tensor& g, nn::Tape& tape, nn::Gradients grads) {
+        return fused.backward(g, tape, grads);
+      },
+      fused.parameters(), x, rng);
+}
+
 TEST(AdaptiveConvPool, GradientsMatchNumeric) {
   util::Rng rng(11);
   nn::AdaptiveConvPool fused(3, 3, rng);
   for (std::size_t o = 0; o < 3; ++o) fused.parameters()[1]->value[o] = 0.1 * o;
-  check_module_gradients(fused, Tensor::uniform({7, 5}, rng, -1, 1), rng);
+  check_pool_gradients(fused, Tensor::uniform({7, 5}, rng, -1, 1), rng);
   // Smaller than the grid, so windows repeat and share argmaxes.
   nn::AdaptiveConvPool small(2, 4, rng);
-  check_module_gradients(small, Tensor::uniform({2, 3}, rng, -1, 1), rng);
+  check_pool_gradients(small, Tensor::uniform({2, 3}, rng, -1, 1), rng);
 }
 
 TEST(AdaptiveConvPool, ForwardIntoMatchesForwardOnASegment) {
+  // A graph's segment of a packed matrix pools exactly as the graph alone,
+  // and so does its backward.
   util::Rng rng(13);
   nn::AdaptiveConvPool fused(4, 3, rng);
-  fused.set_grad_enabled(false);
   const Tensor packed = Tensor::uniform({20, 6}, rng, -1, 1);
   // Rows 5..13 of the packed matrix as one graph.
   Tensor segment({9, 6});
   for (std::size_t i = 0; i < segment.size(); ++i) segment[i] = packed[5 * 6 + i];
-  const Tensor want = fused.forward(segment);
-  std::vector<double> got(want.size());
-  fused.forward_into(packed.data() + 5 * 6, 9, 6, got.data());
-  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_TRUE(bitwise_equal(got[i], want[i]));
-  EXPECT_THROW(fused.forward_into(packed.data(), 0, 6, got.data()), std::invalid_argument);
+  nn::Tape alone_tape;
+  const Tensor want = fused.forward(segment, {0, 9}, &alone_tape);
+  nn::Tape packed_tape;
+  const Tensor got = fused.forward(packed, {0, 5, 14, 20}, &packed_tape);
+  ASSERT_EQ(got.shape(), (tensor::Shape{3, 4, 3, 3}));
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(got[want.size() + i], want[i]));
+  }
+  const Tensor grad = Tensor::uniform(want.shape(), rng, -1, 1);
+  Tensor packed_grad = Tensor::zeros(got.shape());
+  for (std::size_t i = 0; i < grad.size(); ++i) packed_grad[grad.size() + i] = grad[i];
+  std::vector<Tensor> alone_grads = nn::zero_gradients(fused.parameters());
+  std::vector<Tensor> packed_grads = nn::zero_gradients(fused.parameters());
+  const Tensor alone_in = fused.backward(grad, alone_tape, alone_grads);
+  const Tensor packed_in = fused.backward(packed_grad, packed_tape, packed_grads);
+  for (std::size_t i = 0; i < alone_in.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(packed_in[5 * 6 + i], alone_in[i]));
+  }
+  for (std::size_t p = 0; p < 2; ++p) {
+    for (std::size_t i = 0; i < alone_grads[p].size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(packed_grads[p][i], alone_grads[p][i]));
+    }
+  }
+  EXPECT_THROW(fused.forward(packed, {0, 5, 5, 20}, nullptr), std::invalid_argument);
 }
 
 TEST(AdaptiveConvPool, BackwardAfterEvalForwardThrows) {
   util::Rng rng(14);
   nn::AdaptiveConvPool fused(2, 3, rng);
   const Tensor x = Tensor::uniform({5, 4}, rng, -1, 1);
-  const Tensor grad = Tensor::uniform({2, 3, 3}, rng, -1, 1);
-  EXPECT_THROW(fused.backward(grad), std::logic_error);  // no forward yet
-  const Tensor train_out = fused.forward(x);
-  EXPECT_NO_THROW(fused.backward(grad));
-  fused.set_grad_enabled(false);
-  const Tensor eval_out = fused.forward(x);
+  const Tensor grad = Tensor::uniform({1, 2, 3, 3}, rng, -1, 1);
+  std::vector<Tensor> grads = nn::zero_gradients(fused.parameters());
+  nn::Tape nothing;
+  EXPECT_THROW(fused.backward(grad, nothing, grads), std::logic_error);  // no forward yet
+  nn::Tape tape;
+  const Tensor train_out = fused.forward(x, {0, 5}, &tape);
+  EXPECT_NO_THROW(fused.backward(grad, tape, grads));
+  const Tensor eval_out = fused.forward(x, {0, 5}, nullptr);
   EXPECT_TRUE(tensor::allclose(eval_out, train_out, 0.0));
-  EXPECT_THROW(fused.backward(grad), std::logic_error);
-  fused.set_grad_enabled(true);
-  fused.forward(x);
-  EXPECT_THROW(fused.backward(Tensor::zeros({2, 4, 4})), std::invalid_argument);
+  EXPECT_THROW(fused.backward(grad, tape, grads), std::logic_error);  // records consumed
+  nn::Tape again;
+  fused.forward(x, {0, 5}, &again);
+  EXPECT_THROW(fused.backward(Tensor::zeros({1, 2, 4, 4}), again, grads),
+               std::invalid_argument);
 }
 
 TEST(AdaptiveConvPool, RejectsBadShapes) {
@@ -186,8 +226,10 @@ TEST(AdaptiveConvPool, RejectsBadShapes) {
   EXPECT_THROW(nn::AdaptiveConvPool(0, 3, rng), std::invalid_argument);
   EXPECT_THROW(nn::AdaptiveConvPool(2, 0, rng), std::invalid_argument);
   nn::AdaptiveConvPool fused(2, 3, rng);
-  EXPECT_THROW(fused.forward(Tensor::zeros({1, 4, 4})), std::invalid_argument);
-  EXPECT_THROW(fused.forward(Tensor::zeros({0, 4})), std::invalid_argument);
+  EXPECT_THROW(fused.forward(Tensor::zeros({1, 4, 4}), {0, 1}, nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(fused.forward(Tensor::zeros({0, 4}), {0, 0}, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Grad-cache gating: with set_grad_enabled(false) a layer's forward must
-// skip its backward caches (inference mode), backward must throw a clear
-// std::logic_error, and the forward outputs must be unchanged.
+// Recording gate: a forward without a tape must give exactly the output of
+// the same forward recording on a tape, and a backward whose forward left
+// no records must throw a clear std::logic_error instead of producing
+// gradients from nothing.
 
 #include <gtest/gtest.h>
 
@@ -31,19 +32,19 @@ void expect_same(const Tensor& a, const Tensor& b) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
-// Deterministic module: eval forward must equal train forward, and
-// backward after an eval forward must throw.
+// Deterministic module: the untaped forward must equal the taped one, a
+// backward on a tape without records must throw, and the taped forward's
+// backward must consume exactly its records.
 void check_module(Module& m, const Tensor& input, const Tensor& grad) {
-  m.set_grad_enabled(true);
-  const Tensor train_out = m.forward(input);
-  m.set_grad_enabled(false);
-  const Tensor eval_out = m.forward(input);
-  expect_same(eval_out, train_out);
-  EXPECT_THROW(m.backward(grad), std::logic_error);
-  // Re-enabling restores the backward path.
-  m.set_grad_enabled(true);
-  m.forward(input);
-  EXPECT_NO_THROW(m.backward(grad));
+  std::vector<Tensor> grads = zero_gradients(m.parameters());
+  Tape tape;
+  const Tensor taped = m.forward(input, &tape);
+  const Tensor untaped = m.forward(input, nullptr);
+  expect_same(untaped, taped);
+  Tape nothing;
+  EXPECT_THROW(m.backward(grad, nothing, grads), std::logic_error);
+  EXPECT_NO_THROW(m.backward(grad, tape, grads));
+  EXPECT_TRUE(tape.empty());
 }
 
 TEST(GradCache, ActivationsGateTheirCaches) {
@@ -51,10 +52,8 @@ TEST(GradCache, ActivationsGateTheirCaches) {
   const Tensor g = random_tensor({3, 4}, 2);
   ReLU relu;
   Tanh tanh;
-  Sigmoid sigmoid;
   check_module(relu, x, g);
   check_module(tanh, x, g);
-  check_module(sigmoid, x, g);
 }
 
 TEST(GradCache, LinearGatesItsCache) {
@@ -66,24 +65,24 @@ TEST(GradCache, LinearGatesItsCache) {
 TEST(GradCache, Conv1dGatesItsCache) {
   util::Rng rng(6);
   Conv1D conv(2, 3, 3, 1, rng);
-  check_module(conv, random_tensor({2, 8}, 7), random_tensor({3, 6}, 8));
+  check_module(conv, random_tensor({1, 2, 8}, 7), random_tensor({1, 3, 6}, 8));
 }
 
 TEST(GradCache, Conv2dGatesItsCache) {
   util::Rng rng(9);
   Conv2D conv(1, 2, 3, 3, 1, rng);
-  check_module(conv, random_tensor({1, 5, 5}, 10), random_tensor({2, 5, 5}, 11));
+  check_module(conv, random_tensor({1, 1, 5, 5}, 10), random_tensor({1, 2, 5, 5}, 11));
 }
 
 TEST(GradCache, WeightedVerticesGatesItsCache) {
   util::Rng rng(12);
   WeightedVertices wv(4, Activation::ReLU, rng);
-  check_module(wv, random_tensor({4, 6}, 13), random_tensor({6}, 14));
+  check_module(wv, random_tensor({1, 4, 6}, 13), random_tensor({1, 6}, 14));
 }
 
 TEST(GradCache, LogSoftmaxGatesItsCache) {
   LogSoftmax ls;
-  check_module(ls, random_tensor({5}, 15), random_tensor({5}, 16));
+  check_module(ls, random_tensor({1, 5}, 15), random_tensor({1, 5}, 16));
 }
 
 TEST(GradCache, GraphConvLayerGatesItsCache) {
@@ -93,16 +92,21 @@ TEST(GradCache, GraphConvLayerGatesItsCache) {
   SparseMatrix prop = SparseMatrix::propagation_operator({{}, {}, {}, {}, {}});
   const Tensor x = random_tensor({5, 3}, 18);
   const Tensor g = random_tensor({5, 4}, 19);
-
-  layer.set_grad_enabled(true);
-  const Tensor train_out = layer.forward(prop, x);
-  layer.set_grad_enabled(false);
-  const Tensor eval_out = layer.forward(prop, x);
-  expect_same(eval_out, train_out);
-  EXPECT_THROW(layer.backward(g), std::logic_error);
-  layer.set_grad_enabled(true);
-  layer.forward(prop, x);
-  EXPECT_NO_THROW(layer.backward(g));
+  InferenceWorkspace workspace;
+  auto run = [&](Tape* tape) {
+    Tensor y({5, 4});
+    layer.forward(prop, x, workspace, y.data(), 4, nullptr, tape);
+    return y;
+  };
+  std::vector<Tensor> grads = zero_gradients(layer.parameters());
+  Tape tape;
+  const Tensor taped = run(&tape);
+  const Tensor untaped = run(nullptr);
+  expect_same(untaped, taped);
+  Tape nothing;
+  EXPECT_THROW(layer.backward(prop, g, nothing, grads), std::logic_error);
+  EXPECT_NO_THROW(layer.backward(prop, g, tape, grads));
+  EXPECT_TRUE(tape.empty());
 }
 
 TEST(GradCache, SequentialPropagatesToChildren) {
@@ -111,14 +115,7 @@ TEST(GradCache, SequentialPropagatesToChildren) {
   seq.emplace<Linear>(4, 3, rng);
   seq.emplace<ReLU>();
   seq.emplace<LogSoftmax>();
-  const Tensor x = random_tensor({4}, 21);
-  const Tensor g = random_tensor({3}, 22);
-  seq.set_grad_enabled(false);
-  seq.forward(x);
-  EXPECT_THROW(seq.backward(g), std::logic_error);
-  seq.set_grad_enabled(true);
-  seq.forward(x);
-  EXPECT_NO_THROW(seq.backward(g));
+  check_module(seq, random_tensor({1, 4}, 21), random_tensor({1, 3}, 22));
 }
 
 }  // namespace

@@ -13,6 +13,44 @@ SparseMatrix chain_prop() {
   return SparseMatrix::propagation_operator({{1}, {2}, {0}});
 }
 
+/// One operator's output Y (n x out) for input z, recording on `tape`.
+Tensor run(const nn::GraphConvOp& op, const SparseMatrix& p, const Tensor& z,
+           nn::Tape* tape = nullptr) {
+  Tensor y({z.dim(0), op.out_channels()});
+  nn::InferenceWorkspace workspace;
+  op.forward(p, z, workspace, y.data(), op.out_channels(), nullptr, tape);
+  return y;
+}
+
+/// The stack's Z^{1:h} for input x, recording on `tape`.
+Tensor run(const nn::GraphConvStack& stack, const SparseMatrix& p, const Tensor& x,
+           nn::Tape* tape = nullptr) {
+  nn::InferenceWorkspace workspace;
+  return stack.forward(p, x, workspace, tape);
+}
+
+/// check_function_gradients over one operator on graph `p`.
+void check_op_gradients(nn::GraphConvOp& op, const SparseMatrix& p, const Tensor& z,
+                        util::Rng& rng, double tol = 1e-6) {
+  check_function_gradients(
+      [&](const Tensor& x, nn::Tape* tape) { return run(op, p, x, tape); },
+      [&](const Tensor& g, nn::Tape& tape, nn::Gradients grads) {
+        return op.backward(p, g, tape, grads);
+      },
+      op.parameters(), z, rng, tol);
+}
+
+/// check_function_gradients over a stack on graph `p`.
+void check_stack_gradients(nn::GraphConvStack& stack, const SparseMatrix& p,
+                           const Tensor& x, util::Rng& rng) {
+  check_function_gradients(
+      [&](const Tensor& in, nn::Tape* tape) { return run(stack, p, in, tape); },
+      [&](const Tensor& g, nn::Tape& tape, nn::Gradients grads) {
+        return stack.backward(p, g, tape, grads);
+      },
+      stack.parameters(), x, rng);
+}
+
 /// A stack of the paper's Eq. 1 operator (the default GraphConvStackConfig
 /// operator) with the given widths and activation.
 nn::GraphConvStack paper_stack(std::size_t in, std::vector<std::size_t> channels,
@@ -31,7 +69,7 @@ TEST(GraphConvLayer, ForwardMatchesDenseFormula) {
   SparseMatrix p = chain_prop();
   Tensor z = Tensor::from_rows({{1, 2}, {3, 4}, {5, 6}});
   Tensor expected = tensor::matmul(p.to_dense(), tensor::matmul(z, layer.weight().value));
-  EXPECT_TRUE(tensor::allclose(layer.forward(p, z), expected, 1e-12));
+  EXPECT_TRUE(tensor::allclose(run(layer, p, z), expected, 1e-12));
 }
 
 TEST(GraphConvLayer, ReluActivationClamps) {
@@ -41,7 +79,7 @@ TEST(GraphConvLayer, ReluActivationClamps) {
   SparseMatrix p = SparseMatrix::propagation_operator({{}});
   Tensor z = Tensor::from_rows({{2.0}});
   // preact = 1 * (2 * -1) = -2 -> relu -> 0.
-  EXPECT_EQ(layer.forward(p, z)[0], 0.0);
+  EXPECT_EQ(run(layer, p, z)[0], 0.0);
 }
 
 TEST(GraphConvLayer, PaperEquationOneWorkedExample) {
@@ -54,7 +92,7 @@ TEST(GraphConvLayer, PaperEquationOneWorkedExample) {
   nn::PaperGraphConv layer(2, 3, nn::Activation::ReLU, rng);
   layer.weight().value = Tensor::from_rows({{1, 0, 1}, {0, 1, 0}});  // W1 of Fig. 3
   Tensor x = Tensor::from_rows({{2, 1}, {0, 3}, {1, 1}, {4, 0}, {1, 2}});
-  Tensor out = layer.forward(p, x);
+  Tensor out = run(layer, p, x);
   // Hand-computed: F = X W = [[2,1,2],[0,3,0],[1,1,1],[4,0,4],[1,2,1]];
   // row 0 of P = 1/3 (self + v1 + v2): (2+0+1)/3 = 1, (1+3+1)/3 = 5/3, ...
   EXPECT_NEAR(out.at(0, 0), 1.0, 1e-12);
@@ -68,48 +106,23 @@ TEST(GraphConvLayer, PaperEquationOneWorkedExample) {
 TEST(GraphConvLayer, GradientsMatchNumericTanh) {
   util::Rng rng(4);
   nn::PaperGraphConv layer(3, 2, nn::Activation::Tanh, rng);
-  SparseMatrix p = chain_prop();
-  Tensor z = Tensor::uniform({3, 3}, rng, -1, 1);
-
-  const Tensor probe = layer.forward(p, z);
-  Tensor w = Tensor::uniform(probe.shape(), rng, -1, 1);
-  auto loss = [&](const Tensor& input) {
-    Tensor out = layer.forward(p, input);
-    double total = 0.0;
-    for (std::size_t i = 0; i < out.size(); ++i) total += w[i] * out[i];
-    return total;
-  };
-  layer.weight().zero_grad();
-  layer.forward(p, z);
-  Tensor analytic_in = layer.backward(w);
-  Tensor numeric_in = numeric_grad(loss, z);
-  for (std::size_t i = 0; i < analytic_in.size(); ++i) {
-    EXPECT_NEAR(analytic_in[i], numeric_in[i], 1e-6);
-  }
-  auto loss_w = [&](const Tensor& wv) {
-    const Tensor saved = layer.weight().value;
-    layer.weight().value = wv;
-    const double l = loss(z);
-    layer.weight().value = saved;
-    return l;
-  };
-  Tensor numeric_w = numeric_grad(loss_w, layer.weight().value);
-  for (std::size_t i = 0; i < numeric_w.size(); ++i) {
-    EXPECT_NEAR(layer.weight().grad[i], numeric_w[i], 1e-6);
-  }
+  check_op_gradients(layer, chain_prop(), Tensor::uniform({3, 3}, rng, -1, 1), rng);
 }
 
 TEST(GraphConvLayer, RejectsChannelMismatch) {
   util::Rng rng(5);
   nn::PaperGraphConv layer(2, 2, nn::Activation::ReLU, rng);
   SparseMatrix p = chain_prop();
-  EXPECT_THROW(layer.forward(p, Tensor::zeros({3, 5})), std::invalid_argument);
+  EXPECT_THROW(run(layer, p, Tensor::zeros({3, 5})), std::invalid_argument);
 }
 
 TEST(GraphConvLayer, BackwardBeforeForwardThrows) {
   util::Rng rng(6);
   nn::PaperGraphConv layer(2, 2, nn::Activation::ReLU, rng);
-  EXPECT_THROW(layer.backward(Tensor::zeros({3, 2})), std::logic_error);
+  std::vector<Tensor> grads = nn::zero_gradients(layer.parameters());
+  nn::Tape tape;
+  EXPECT_THROW(layer.backward(chain_prop(), Tensor::zeros({3, 2}), tape, grads),
+               std::logic_error);
 }
 
 TEST(GraphConvStack, ConcatHasAllLayerChannels) {
@@ -119,7 +132,7 @@ TEST(GraphConvStack, ConcatHasAllLayerChannels) {
   EXPECT_EQ(stack.depth(), 3u);
   SparseMatrix p = chain_prop();
   Tensor x = Tensor::uniform({3, 11}, rng, 0, 1);
-  Tensor z = stack.forward(p, x);
+  Tensor z = run(stack, p, x);
   EXPECT_EQ(z.dim(0), 3u);
   EXPECT_EQ(z.dim(1), 56u);
 }
@@ -127,37 +140,7 @@ TEST(GraphConvStack, ConcatHasAllLayerChannels) {
 TEST(GraphConvStack, GradientsMatchNumeric) {
   util::Rng rng(8);
   nn::GraphConvStack stack = paper_stack(2, {3, 2}, nn::Activation::Tanh, rng);
-  SparseMatrix p = chain_prop();
-  Tensor x = Tensor::uniform({3, 2}, rng, -1, 1);
-
-  const Tensor probe = stack.forward(p, x);
-  Tensor w = Tensor::uniform(probe.shape(), rng, -1, 1);
-  auto loss = [&](const Tensor& input) {
-    Tensor out = stack.forward(p, input);
-    double total = 0.0;
-    for (std::size_t i = 0; i < out.size(); ++i) total += w[i] * out[i];
-    return total;
-  };
-  for (auto* param : stack.parameters()) param->zero_grad();
-  stack.forward(p, x);
-  Tensor analytic_in = stack.backward(w);
-  Tensor numeric_in = numeric_grad(loss, x);
-  for (std::size_t i = 0; i < analytic_in.size(); ++i) {
-    EXPECT_NEAR(analytic_in[i], numeric_in[i], 1e-6) << "dX at " << i;
-  }
-  for (auto* param : stack.parameters()) {
-    auto loss_p = [&](const Tensor& v) {
-      const Tensor saved = param->value;
-      param->value = v;
-      const double l = loss(x);
-      param->value = saved;
-      return l;
-    };
-    Tensor numeric_p = numeric_grad(loss_p, param->value);
-    for (std::size_t i = 0; i < numeric_p.size(); ++i) {
-      EXPECT_NEAR(param->grad[i], numeric_p[i], 1e-6) << param->name << " at " << i;
-    }
-  }
+  check_stack_gradients(stack, chain_prop(), Tensor::uniform({3, 2}, rng, -1, 1), rng);
 }
 
 TEST(GraphConvStack, RejectsEmptyChannels) {
@@ -216,7 +199,7 @@ TEST(GraphConvOps, SageForwardMatchesDenseFormula) {
   Tensor pz = tensor::matmul(p.to_dense(), z);
   Tensor h = tensor::concat_cols({z, pz});
   Tensor expected = tensor::matmul(h, layer.weight().value);
-  EXPECT_TRUE(tensor::allclose(layer.forward(p, z), expected, 1e-12));
+  EXPECT_TRUE(tensor::allclose(run(layer, p, z), expected, 1e-12));
 }
 
 TEST(GraphConvOps, TagForwardMatchesDenseFormula) {
@@ -230,7 +213,7 @@ TEST(GraphConvOps, TagForwardMatchesDenseFormula) {
   Tensor ppz = tensor::matmul(pd, pz);
   Tensor h = tensor::concat_cols({z, pz, ppz});
   Tensor expected = tensor::matmul(h, layer.weight().value);
-  EXPECT_TRUE(tensor::allclose(layer.forward(p, z), expected, 1e-12));
+  EXPECT_TRUE(tensor::allclose(run(layer, p, z), expected, 1e-12));
 }
 
 /// Shared numeric gradcheck over any operator (mirrors the GraphConvLayer
@@ -238,34 +221,8 @@ TEST(GraphConvOps, TagForwardMatchesDenseFormula) {
 void gradcheck_operator(nn::GraphConvOp& layer, std::size_t in_channels,
                         std::uint64_t seed) {
   util::Rng rng(seed);
-  SparseMatrix p = chain_prop();
-  Tensor z = Tensor::uniform({3, in_channels}, rng, -1, 1);
-  const Tensor probe = layer.forward(p, z);
-  Tensor w = Tensor::uniform(probe.shape(), rng, -1, 1);
-  auto loss = [&](const Tensor& input) {
-    Tensor out = layer.forward(p, input);
-    double total = 0.0;
-    for (std::size_t i = 0; i < out.size(); ++i) total += w[i] * out[i];
-    return total;
-  };
-  layer.weight().zero_grad();
-  layer.forward(p, z);
-  Tensor analytic_in = layer.backward(w);
-  Tensor numeric_in = numeric_grad(loss, z);
-  for (std::size_t i = 0; i < analytic_in.size(); ++i) {
-    EXPECT_NEAR(analytic_in[i], numeric_in[i], 1e-6) << "dZ at " << i;
-  }
-  auto loss_w = [&](const Tensor& wv) {
-    const Tensor saved = layer.weight().value;
-    layer.weight().value = wv;
-    const double l = loss(z);
-    layer.weight().value = saved;
-    return l;
-  };
-  Tensor numeric_w = numeric_grad(loss_w, layer.weight().value);
-  for (std::size_t i = 0; i < numeric_w.size(); ++i) {
-    EXPECT_NEAR(layer.weight().grad[i], numeric_w[i], 1e-6) << "dW at " << i;
-  }
+  check_op_gradients(layer, chain_prop(), Tensor::uniform({3, in_channels}, rng, -1, 1),
+                     rng);
 }
 
 TEST(GraphConvOps, SageGradientsMatchNumericTanh) {
@@ -287,7 +244,10 @@ TEST(GraphConvOps, BackwardBeforeForwardThrowsForEveryOperator) {
                     nn::GraphConvOperator::Tag}) {
     opt.kind = kind;
     auto op = nn::make_graph_conv_op(opt, 2, 2, nn::Activation::ReLU, rng);
-    EXPECT_THROW(op->backward(Tensor::zeros({3, 2})), std::logic_error);
+    std::vector<Tensor> grads = nn::zero_gradients(op->parameters());
+    nn::Tape tape;
+    EXPECT_THROW(op->backward(chain_prop(), Tensor::zeros({3, 2}), tape, grads),
+                 std::logic_error);
   }
 }
 
@@ -306,12 +266,13 @@ TEST(GraphConvStack, ConfigCtorCarriesOperator) {
   // Output width is the configured channel sum regardless of operator.
   EXPECT_EQ(stack.total_channels(), 14u);
   SparseMatrix p = chain_prop();
-  Tensor z = stack.forward(p, Tensor::uniform({3, 4}, rng, -1, 1));
+  Tensor z = run(stack, p, Tensor::uniform({3, 4}, rng, -1, 1));
   EXPECT_EQ(z.dim(1), 14u);
 }
 
 TEST(GraphConvStack, GradientsMatchNumericForSageAndTag) {
   for (auto kind : {nn::GraphConvOperator::Sage, nn::GraphConvOperator::Tag}) {
+    SCOPED_TRACE(nn::graph_conv_operator_name(kind));
     util::Rng rng(31);
     nn::GraphConvStackConfig config;
     config.in_channels = 2;
@@ -320,45 +281,14 @@ TEST(GraphConvStack, GradientsMatchNumericForSageAndTag) {
     config.op.kind = kind;
     config.op.tag_hops = 2;
     nn::GraphConvStack stack(config, rng);
-    SparseMatrix p = chain_prop();
-    Tensor x = Tensor::uniform({3, 2}, rng, -1, 1);
-    const Tensor probe = stack.forward(p, x);
-    Tensor w = Tensor::uniform(probe.shape(), rng, -1, 1);
-    auto loss = [&](const Tensor& input) {
-      Tensor out = stack.forward(p, input);
-      double total = 0.0;
-      for (std::size_t i = 0; i < out.size(); ++i) total += w[i] * out[i];
-      return total;
-    };
-    for (auto* param : stack.parameters()) param->zero_grad();
-    stack.forward(p, x);
-    Tensor analytic_in = stack.backward(w);
-    Tensor numeric_in = numeric_grad(loss, x);
-    for (std::size_t i = 0; i < analytic_in.size(); ++i) {
-      EXPECT_NEAR(analytic_in[i], numeric_in[i], 1e-6)
-          << nn::graph_conv_operator_name(kind) << " dX at " << i;
-    }
-    for (auto* param : stack.parameters()) {
-      auto loss_p = [&](const Tensor& v) {
-        const Tensor saved = param->value;
-        param->value = v;
-        const double l = loss(x);
-        param->value = saved;
-        return l;
-      };
-      Tensor numeric_p = numeric_grad(loss_p, param->value);
-      for (std::size_t i = 0; i < numeric_p.size(); ++i) {
-        EXPECT_NEAR(param->grad[i], numeric_p[i], 1e-6)
-            << param->name << " at " << i;
-      }
-    }
+    check_stack_gradients(stack, chain_prop(), Tensor::uniform({3, 2}, rng, -1, 1), rng);
   }
 }
 
 TEST(GraphConvStack, InferencePathBitIdenticalToTrainingPathPerOperator) {
-  // The const fused inference path must be bitwise equal to the
-  // training-mode forward for every zoo member (same kernels, same order),
-  // and so must the eval-mode forward; one workspace serves every call.
+  // Recording on a tape must not change a bit of the output for any zoo
+  // member (the taped forward is the one training runs); one workspace
+  // serves every call.
   for (auto kind : {nn::GraphConvOperator::Paper, nn::GraphConvOperator::Sage,
                     nn::GraphConvOperator::Tag}) {
     util::Rng rng(32);
@@ -370,19 +300,15 @@ TEST(GraphConvStack, InferencePathBitIdenticalToTrainingPathPerOperator) {
     std::vector<std::vector<std::size_t>> adj = {{1, 2}, {3}, {3}, {4}, {0}};
     SparseMatrix p = SparseMatrix::propagation_operator(adj);
     Tensor x = Tensor::uniform({5, 5}, rng, -1, 1);
-    Tensor trained = stack.forward(p, x);
     nn::InferenceWorkspace workspace;
-    (void)stack.forward_inference(chain_prop(), Tensor::uniform({3, 5}, rng, -1, 1),
-                                  workspace);  // warm the workspace on another shape
-    Tensor inferred = stack.forward_inference(p, x, workspace);
-    stack.set_grad_enabled(false);
-    Tensor evaluated = stack.forward(p, x);
+    nn::Tape tape;
+    Tensor trained = stack.forward(p, x, workspace, &tape);
+    (void)stack.forward(chain_prop(), Tensor::uniform({3, 5}, rng, -1, 1), workspace,
+                        nullptr);  // warm the workspace on another shape
+    Tensor inferred = stack.forward(p, x, workspace, nullptr);
     ASSERT_TRUE(trained.same_shape(inferred));
-    ASSERT_TRUE(trained.same_shape(evaluated));
     for (std::size_t i = 0; i < trained.size(); ++i) {
       EXPECT_EQ(trained[i], inferred[i])
-          << nn::graph_conv_operator_name(kind) << " at " << i;
-      EXPECT_EQ(trained[i], evaluated[i])
           << nn::graph_conv_operator_name(kind) << " at " << i;
     }
   }
@@ -487,7 +413,8 @@ TEST(GraphConvGolden, PaperOperatorBitIdenticalToPreRefactorStack) {
 
   std::vector<Tensor> outputs;
   Tensor expected = golden_forward(golden, p, x, act, outputs);
-  Tensor actual = stack.forward(p, x);
+  nn::Tape tape;
+  Tensor actual = run(stack, p, x, &tape);
   ASSERT_TRUE(actual.same_shape(expected));
   for (std::size_t i = 0; i < actual.size(); ++i) {
     EXPECT_EQ(actual[i], expected[i]) << "forward at " << i;
@@ -495,14 +422,14 @@ TEST(GraphConvGolden, PaperOperatorBitIdenticalToPreRefactorStack) {
 
   Tensor grad = Tensor::uniform(expected.shape(), data_rng, -1, 1);
   Tensor expected_dx = golden_backward(golden, p, grad, act, 5);
-  for (auto* param : stack.parameters()) param->zero_grad();
-  Tensor actual_dx = stack.backward(grad);
+  std::vector<Tensor> grads = nn::zero_gradients(stack.parameters());
+  Tensor actual_dx = stack.backward(p, grad, tape, grads);
   ASSERT_TRUE(actual_dx.same_shape(expected_dx));
   for (std::size_t i = 0; i < actual_dx.size(); ++i) {
     EXPECT_EQ(actual_dx[i], expected_dx[i]) << "dX at " << i;
   }
   for (std::size_t t = 0; t < channels.size(); ++t) {
-    const Tensor& dw = stack.parameters()[t]->grad;
+    const Tensor& dw = grads[t];
     ASSERT_TRUE(dw.same_shape(golden[t].grad));
     for (std::size_t i = 0; i < dw.size(); ++i) {
       EXPECT_EQ(dw[i], golden[t].grad[i]) << "dW layer " << t << " at " << i;
@@ -518,7 +445,7 @@ TEST(GraphConvStack, IsolatedVerticesKeepOwnFeatures) {
   SparseMatrix p = SparseMatrix::propagation_operator({{}, {}, {}});
   Tensor x = Tensor::uniform({3, 2}, rng, -1, 1);
   Tensor expected = tensor::matmul(x, stack.parameters()[0]->value);
-  EXPECT_TRUE(tensor::allclose(stack.forward(p, x), expected, 1e-12));
+  EXPECT_TRUE(tensor::allclose(run(stack, p, x), expected, 1e-12));
 }
 
 }  // namespace

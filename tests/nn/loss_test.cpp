@@ -9,7 +9,7 @@ namespace {
 
 TEST(LogSoftmax, OutputsAreLogProbabilities) {
   nn::LogSoftmax ls;
-  Tensor y = ls.forward(Tensor(tensor::Shape{3}, {1.0, 2.0, 3.0}));
+  Tensor y = ls.forward(Tensor(tensor::Shape{1, 3}, {1.0, 2.0, 3.0}), nullptr);
   double total = 0.0;
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_LE(y[i], 0.0);
@@ -20,14 +20,14 @@ TEST(LogSoftmax, OutputsAreLogProbabilities) {
 
 TEST(LogSoftmax, ShiftInvariance) {
   nn::LogSoftmax ls;
-  Tensor a = ls.forward(Tensor(tensor::Shape{3}, {1.0, 2.0, 3.0}));
-  Tensor b = ls.forward(Tensor(tensor::Shape{3}, {101.0, 102.0, 103.0}));
+  Tensor a = ls.forward(Tensor(tensor::Shape{1, 3}, {1.0, 2.0, 3.0}), nullptr);
+  Tensor b = ls.forward(Tensor(tensor::Shape{1, 3}, {101.0, 102.0, 103.0}), nullptr);
   EXPECT_TRUE(tensor::allclose(a, b, 1e-9));
 }
 
 TEST(LogSoftmax, NumericallyStableForLargeInputs) {
   nn::LogSoftmax ls;
-  Tensor y = ls.forward(Tensor(tensor::Shape{2}, {1000.0, 0.0}));
+  Tensor y = ls.forward(Tensor(tensor::Shape{1, 2}, {1000.0, 0.0}), nullptr);
   EXPECT_NEAR(y[0], 0.0, 1e-9);
   EXPECT_TRUE(std::isfinite(y[1]));
 }
@@ -35,44 +35,44 @@ TEST(LogSoftmax, NumericallyStableForLargeInputs) {
 TEST(LogSoftmax, GradientMatchesNumeric) {
   util::Rng rng(1);
   nn::LogSoftmax ls;
-  check_module_gradients(ls, Tensor::uniform({5}, rng, -2, 2), rng);
+  check_module_gradients(ls, Tensor::uniform({2, 5}, rng, -2, 2), rng);
 }
 
-TEST(LogSoftmax, RejectsRank2) {
+TEST(LogSoftmax, RejectsRank3) {
   nn::LogSoftmax ls;
-  EXPECT_THROW(ls.forward(Tensor::zeros({2, 2})), std::invalid_argument);
+  EXPECT_THROW(ls.forward(Tensor::zeros({2, 2, 2}), nullptr), std::invalid_argument);
 }
 
 TEST(NllLoss, PicksTargetLogProb) {
-  nn::NllLoss loss;
+  const nn::NllLoss loss;
   Tensor lp(tensor::Shape{3}, {-0.1, -2.0, -3.0});
   EXPECT_NEAR(loss.forward(lp, 1), 2.0, 1e-12);
 }
 
 TEST(NllLoss, BackwardIsMinusOneHot) {
-  nn::NllLoss loss;
+  const nn::NllLoss loss;
   Tensor lp(tensor::Shape{3}, {-1.0, -1.0, -1.0});
-  loss.forward(lp, 2);
-  Tensor g = loss.backward();
+  Tensor g = loss.backward(lp, 2);
   EXPECT_EQ(g[0], 0.0);
   EXPECT_EQ(g[1], 0.0);
   EXPECT_EQ(g[2], -1.0);
 }
 
 TEST(NllLoss, RejectsBadTarget) {
-  nn::NllLoss loss;
+  const nn::NllLoss loss;
   Tensor lp(tensor::Shape{2}, {-1.0, -1.0});
   EXPECT_THROW(loss.forward(lp, 2), std::invalid_argument);
+  EXPECT_THROW(loss.backward(lp, 2), std::invalid_argument);
 }
 
 TEST(CrossEntropy, CombinedGradientIsSoftmaxMinusOneHot) {
   // The canonical identity d(NLL ∘ LogSoftmax)/dlogits = p - onehot(y).
   nn::LogSoftmax ls;
-  nn::NllLoss loss;
-  Tensor logits(tensor::Shape{3}, {0.5, -1.0, 2.0});
-  Tensor lp = ls.forward(logits);
-  loss.forward(lp, 0);
-  Tensor g = ls.backward(loss.backward());
+  const nn::NllLoss loss;
+  nn::Tape tape;
+  Tensor logits(tensor::Shape{1, 3}, {0.5, -1.0, 2.0});
+  Tensor lp = ls.forward(logits, &tape).reshape({3});
+  Tensor g = ls.backward(loss.backward(lp, 0).reshape({1, 3}), tape, {});
   Tensor p = nn::exp_probs(lp);
   EXPECT_NEAR(g[0], p[0] - 1.0, 1e-12);
   EXPECT_NEAR(g[1], p[1], 1e-12);

@@ -7,19 +7,18 @@
 namespace magic::testing {
 namespace {
 
-// Minimizes f(w) = ||w - target||^2 with the given optimizer; returns the
-// final distance to the optimum.
-template <typename MakeOpt>
-double optimize_quadratic(MakeOpt make_opt, std::size_t steps) {
+// Minimizes f(w) = ||w - target||^2 with Adam at learning rate `lr`;
+// returns the final distance to the optimum.
+double optimize_quadratic(double lr, std::size_t steps) {
   nn::Parameter w("w", Tensor(tensor::Shape{3}, {5.0, -4.0, 2.0}));
   const Tensor target(tensor::Shape{3}, {1.0, 2.0, -1.0});
-  auto opt = make_opt(std::vector<nn::Parameter*>{&w});
+  nn::Adam adam({&w}, lr);
+  std::vector<Tensor> grads = nn::zero_gradients(std::vector<nn::Parameter*>{&w});
   for (std::size_t s = 0; s < steps; ++s) {
-    opt->zero_grad();
     for (std::size_t i = 0; i < 3; ++i) {
-      w.grad[i] = 2.0 * (w.value[i] - target[i]);
+      grads[0][i] = 2.0 * (w.value[i] - target[i]);
     }
-    opt->step();
+    adam.step(grads);
   }
   double dist = 0.0;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -28,58 +27,33 @@ double optimize_quadratic(MakeOpt make_opt, std::size_t steps) {
   return std::sqrt(dist);
 }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  const double d = optimize_quadratic(
-      [](std::vector<nn::Parameter*> p) {
-        return std::make_unique<nn::Sgd>(std::move(p), 0.1);
-      },
-      200);
-  EXPECT_LT(d, 1e-6);
-}
-
-TEST(Sgd, MomentumConvergesOnQuadratic) {
-  const double d = optimize_quadratic(
-      [](std::vector<nn::Parameter*> p) {
-        return std::make_unique<nn::Sgd>(std::move(p), 0.05, 0.9);
-      },
-      300);
-  EXPECT_LT(d, 1e-6);
-}
-
 TEST(Adam, ConvergesOnQuadratic) {
-  const double d = optimize_quadratic(
-      [](std::vector<nn::Parameter*> p) {
-        return std::make_unique<nn::Adam>(std::move(p), 0.1);
-      },
-      500);
-  EXPECT_LT(d, 1e-4);
+  EXPECT_LT(optimize_quadratic(0.1, 500), 1e-4);
 }
 
 TEST(Adam, FirstStepIsLearningRateSized) {
   // With bias correction, the first Adam step has magnitude ~lr.
   nn::Parameter w("w", Tensor(tensor::Shape{1}, {0.0}));
   nn::Adam adam({&w}, 0.01);
-  w.grad[0] = 123.0;  // any positive gradient
-  adam.step();
+  const std::vector<Tensor> grads{Tensor(tensor::Shape{1}, {123.0})};  // any positive gradient
+  adam.step(grads);
   EXPECT_NEAR(w.value[0], -0.01, 1e-6);
 }
 
 TEST(Optimizer, WeightDecayPullsTowardZero) {
   nn::Parameter w("w", Tensor(tensor::Shape{1}, {10.0}));
-  nn::Sgd sgd({&w}, 0.1, 0.0, /*weight_decay=*/0.5);
-  for (int i = 0; i < 50; ++i) {
-    sgd.zero_grad();  // zero loss gradient; only decay acts
-    sgd.step();
-  }
+  nn::Adam adam({&w}, 0.1, 0.9, 0.999, 1e-8, /*weight_decay=*/0.5);
+  const std::vector<Tensor> zero_loss_gradient{Tensor::zeros({1})};
+  for (int i = 0; i < 200; ++i) adam.step(zero_loss_gradient);  // only decay acts
   EXPECT_LT(std::abs(w.value[0]), 1.0);
 }
 
-TEST(Optimizer, ZeroGradClearsAccumulation) {
+TEST(Adam, RejectsMismatchedGradients) {
   nn::Parameter w("w", Tensor(tensor::Shape{2}, {1.0, 1.0}));
-  nn::Sgd sgd({&w}, 0.1);
-  w.grad[0] = 5.0;
-  sgd.zero_grad();
-  EXPECT_EQ(w.grad[0], 0.0);
+  nn::Adam adam({&w}, 0.1);
+  EXPECT_THROW(adam.step({}), std::invalid_argument);
+  const std::vector<Tensor> wrong_shape{Tensor::zeros({3})};
+  EXPECT_THROW(adam.step(wrong_shape), std::invalid_argument);
 }
 
 TEST(ReduceLrOnPlateau, DecaysAfterTwoConsecutiveIncreases) {

@@ -45,7 +45,7 @@ TEST_P(Conv1dSweep, GradientsMatchNumeric) {
   nn::Conv1D conv(static_cast<std::size_t>(ic), static_cast<std::size_t>(oc),
                   static_cast<std::size_t>(kernel), static_cast<std::size_t>(stride),
                   rng);
-  Tensor x = Tensor::uniform({static_cast<std::size_t>(ic),
+  Tensor x = Tensor::uniform({1, static_cast<std::size_t>(ic),
                               static_cast<std::size_t>(length)}, rng, -1, 1);
   check_module_gradients(conv, x, rng, 1e-5);
 }
@@ -71,7 +71,7 @@ TEST_P(Conv2dSweep, GradientsMatchNumeric) {
   util::Rng rng(static_cast<std::uint64_t>(ic * 3 + oc * 11 + h * 29 + w * 71 + pad));
   nn::Conv2D conv(static_cast<std::size_t>(ic), static_cast<std::size_t>(oc), 3, 3,
                   static_cast<std::size_t>(pad), rng);
-  Tensor x = Tensor::uniform({static_cast<std::size_t>(ic),
+  Tensor x = Tensor::uniform({1, static_cast<std::size_t>(ic),
                               static_cast<std::size_t>(h),
                               static_cast<std::size_t>(w)}, rng, -1, 1);
   check_module_gradients(conv, x, rng, 1e-5);
@@ -93,9 +93,12 @@ TEST_P(AmpSweep, OutputShapeFixedAndValuesFromInput) {
   util::Rng rng(static_cast<std::uint64_t>(grid * 5 + h * 13 + w * 37));
   nn::AdaptiveMaxPool2D pool(static_cast<std::size_t>(grid),
                              static_cast<std::size_t>(grid));
+  // One sample of two channels, viewed per channel below as (2 x h x w).
   Tensor x = Tensor::uniform({2, static_cast<std::size_t>(h),
                               static_cast<std::size_t>(w)}, rng, -1, 1);
-  Tensor y = pool.forward(x);
+  Tensor y = pool.forward(x.reshape({1, 2, x.dim(1), x.dim(2)}), nullptr)
+                 .reshape({2, static_cast<std::size_t>(grid),
+                           static_cast<std::size_t>(grid)});
   EXPECT_EQ(y.dim(1), static_cast<std::size_t>(grid));
   EXPECT_EQ(y.dim(2), static_cast<std::size_t>(grid));
   // Every pooled value must exist in the corresponding input channel.
@@ -137,7 +140,8 @@ TEST_P(SortPoolSweep, SortedDescendingAndShapeCorrect) {
   util::Rng rng(static_cast<std::uint64_t>(n * 19 + k));
   nn::SortPooling pool(static_cast<std::size_t>(k));
   Tensor z = Tensor::uniform({static_cast<std::size_t>(n), 3}, rng, -1, 1);
-  Tensor out = pool.forward(z);
+  Tensor out = pool.forward(z, {0, z.dim(0)}, nullptr)
+                   .reshape({static_cast<std::size_t>(k), 3});
   EXPECT_EQ(out.dim(0), static_cast<std::size_t>(k));
   EXPECT_EQ(out.dim(1), 3u);
   const std::size_t filled = std::min<std::size_t>(n, k);
@@ -180,17 +184,23 @@ TEST_P(GraphConvSweep, GradientsMatchNumeric) {
   // gradient comparison.
   Tensor z = Tensor::uniform({graph.edges.size(), 2}, rng, 0.3, 1.5);
 
-  const Tensor probe = layer.forward(p, z);
-  Tensor w = Tensor::uniform(probe.shape(), rng, 0.2, 1.0);
+  const Tensor w = Tensor::uniform({z.dim(0), 3}, rng, 0.2, 1.0);
+  auto run = [&](const Tensor& input, nn::Tape* tape) {
+    Tensor out({input.dim(0), 3});
+    nn::InferenceWorkspace workspace;
+    layer.forward(p, input, workspace, out.data(), 3, nullptr, tape);
+    return out;
+  };
   auto loss = [&](const Tensor& input) {
-    Tensor out = layer.forward(p, input);
+    Tensor out = run(input, nullptr);
     double total = 0.0;
     for (std::size_t i = 0; i < out.size(); ++i) total += w[i] * out[i];
     return total;
   };
-  layer.weight().zero_grad();
-  layer.forward(p, z);
-  Tensor din = layer.backward(w);
+  std::vector<Tensor> grads = nn::zero_gradients(layer.parameters());
+  nn::Tape tape;
+  run(z, &tape);
+  Tensor din = layer.backward(p, w, tape, grads);
   Tensor num = numeric_grad(loss, z);
   for (std::size_t i = 0; i < din.size(); ++i) {
     EXPECT_NEAR(din[i], num[i], 1e-5) << graph.name;

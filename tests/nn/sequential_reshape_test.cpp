@@ -16,7 +16,7 @@ TEST(Sequential, ChainsForward) {
   seq.emplace<nn::ReLU>();
   lin.weight().value = Tensor::from_rows({{1, 0}, {0, 1}, {0, 0}});
   lin.bias().value = Tensor(tensor::Shape{2}, {0.0, -10.0});
-  Tensor y = seq.forward(Tensor(tensor::Shape{3}, {2.0, 3.0, 4.0}));
+  Tensor y = seq.forward(Tensor(tensor::Shape{1, 3}, {2.0, 3.0, 4.0}), nullptr);
   EXPECT_EQ(y[0], 2.0);
   EXPECT_EQ(y[1], 0.0);  // 3 - 10 clamped by ReLU
 }
@@ -27,7 +27,7 @@ TEST(Sequential, GradientsMatchNumericThroughChain) {
   seq.emplace<nn::Linear>(4, 6, rng);
   seq.emplace<nn::Tanh>();
   seq.emplace<nn::Linear>(6, 3, rng);
-  Tensor x = Tensor::uniform({4}, rng, -1, 1);
+  Tensor x = Tensor::uniform({2, 4}, rng, -1, 1);
   check_module_gradients(seq, x, rng);
 }
 
@@ -42,23 +42,32 @@ TEST(Sequential, CollectsAllParameters) {
 }
 
 TEST(Sequential, PropagatesTrainingMode) {
+  // The tape carries the mode: its children train on a seeded tape (each
+  // on the stream child_seed(seed, index)) and evaluate without one.
   util::Rng rng(4);
   nn::Sequential seq;
+  seq.emplace<nn::ReLU>();
   auto& drop = seq.emplace<nn::Dropout>(0.5, rng);
-  seq.set_training(false);
-  EXPECT_FALSE(drop.training());
-  seq.set_training(true);
-  EXPECT_TRUE(drop.training());
+  const Tensor x = Tensor::ones({1, 64});
+  EXPECT_TRUE(tensor::allclose(seq.forward(x, nullptr), x, 0.0));
+  nn::Tape tape(7);
+  const Tensor trained = seq.forward(x, &tape);
+  EXPECT_FALSE(tensor::allclose(trained, x, 0.0));
+  EXPECT_EQ(*tape.seed(), 7u);  // restored after the children ran
+  nn::Tape child(nn::Sequential::child_seed(7, 2));
+  EXPECT_TRUE(tensor::allclose(drop.forward(x, &child), trained, 0.0));
 }
 
 TEST(Flatten, RoundTripsShape) {
   nn::Flatten flat;
   util::Rng rng(5);
+  nn::Tape tape;
   Tensor x = Tensor::uniform({2, 3, 4}, rng, -1, 1);
-  Tensor y = flat.forward(x);
-  EXPECT_EQ(y.rank(), 1u);
-  EXPECT_EQ(y.dim(0), 24u);
-  Tensor g = flat.backward(Tensor::ones({24}));
+  Tensor y = flat.forward(x, &tape);
+  EXPECT_EQ(y.rank(), 2u);
+  EXPECT_EQ(y.dim(0), 2u);
+  EXPECT_EQ(y.dim(1), 12u);
+  Tensor g = flat.backward(Tensor::ones({2, 12}), tape, {});
   EXPECT_EQ(g.rank(), 3u);
   EXPECT_EQ(g.dim(2), 4u);
 }
@@ -66,18 +75,31 @@ TEST(Flatten, RoundTripsShape) {
 TEST(FixedReshape, ReshapesAndRestores) {
   nn::FixedReshape rs({2, 6});
   util::Rng rng(6);
-  Tensor x = Tensor::uniform({3, 4}, rng, -1, 1);
-  Tensor y = rs.forward(x);
-  EXPECT_EQ(y.dim(0), 2u);
-  EXPECT_EQ(y.dim(1), 6u);
+  nn::Tape tape;
+  Tensor x = Tensor::uniform({1, 3, 4}, rng, -1, 1);
+  Tensor y = rs.forward(x, &tape);
+  EXPECT_EQ(y.dim(1), 2u);
+  EXPECT_EQ(y.dim(2), 6u);
   EXPECT_EQ(y[5], x[5]);  // data order unchanged
-  Tensor g = rs.backward(Tensor::ones({2, 6}));
-  EXPECT_EQ(g.dim(0), 3u);
+  Tensor g = rs.backward(Tensor::ones({1, 2, 6}), tape, {});
+  EXPECT_EQ(g.dim(1), 3u);
+}
+
+TEST(FixedReshape, GradientsMatchNumeric) {
+  util::Rng rng(7);
+  nn::FixedReshape rs({4, 3});
+  check_module_gradients(rs, Tensor::uniform({2, 6, 2}, rng, -1, 1), rng);
+}
+
+TEST(Flatten, GradientsMatchNumeric) {
+  util::Rng rng(8);
+  nn::Flatten flat;
+  check_module_gradients(flat, Tensor::uniform({2, 3, 2}, rng, -1, 1), rng);
 }
 
 TEST(FixedReshape, RejectsSizeMismatch) {
   nn::FixedReshape rs({5});
-  EXPECT_THROW(rs.forward(Tensor::zeros({2, 3})), std::invalid_argument);
+  EXPECT_THROW(rs.forward(Tensor::zeros({2, 3}), nullptr), std::invalid_argument);
 }
 
 }  // namespace

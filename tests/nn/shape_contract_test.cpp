@@ -52,10 +52,15 @@ TEST(ShapeContract, GraphConvLayerNamesLayerAndShapes) {
   util::Rng rng(7);
   PaperGraphConv layer(4, 8, Activation::ReLU, rng);
   const auto prop = SparseMatrix::propagation_operator({{1}, {0}, {}});
+  InferenceWorkspace workspace;
+  Tensor out({3, 8});
   // 5 channels instead of the declared 4; the contract names the concrete
   // class.
   expect_contract_violation(
-      [&] { layer.forward(prop, Tensor::zeros({3, 5})); },
+      [&] {
+        layer.forward(prop, Tensor::zeros({3, 5}), workspace, out.data(), 8, nullptr,
+                      nullptr);
+      },
       {"PaperGraphConv::forward", "(n x 4)", "Tensor[3x5]"});
 }
 
@@ -66,8 +71,9 @@ TEST(ShapeContract, GraphConvStackChecksFirstLayerWidth) {
   config.channels = {32, 32};
   GraphConvStack stack(config, rng);
   const auto prop = SparseMatrix::propagation_operator({{}, {}});
+  InferenceWorkspace workspace;
   expect_contract_violation(
-      [&] { stack.forward(prop, Tensor::zeros({2, 7})); },
+      [&] { stack.forward(prop, Tensor::zeros({2, 7}), workspace, nullptr); },
       {"GraphConvStack::forward", "(n x 11)", "Tensor[2x7]"});
 }
 
@@ -75,12 +81,16 @@ TEST(ShapeContract, GraphConvOperatorSizeMismatchIsCheckError) {
   util::Rng rng(7);
   PaperGraphConv layer(4, 8, Activation::ReLU, rng);
   const auto prop = SparseMatrix::propagation_operator({{1}, {0}});  // 2x2
-  EXPECT_THROW(layer.forward(prop, Tensor::zeros({3, 4})), util::CheckError);
+  InferenceWorkspace workspace;
+  Tensor out({3, 8});
+  EXPECT_THROW(layer.forward(prop, Tensor::zeros({3, 4}), workspace, out.data(), 8,
+                             nullptr, nullptr),
+               util::CheckError);
 }
 
 TEST(ShapeContract, SortPoolingRejectsWrongRank) {
   SortPooling pool(8);
-  expect_contract_violation([&] { pool.forward(Tensor::zeros({6})); },
+  expect_contract_violation([&] { pool.forward(Tensor::zeros({6}), {0, 6}, nullptr); },
                             {"SortPooling::forward", "(n x C)", "Tensor[6]"});
 }
 
@@ -89,35 +99,36 @@ TEST(ShapeContract, Conv1dNamesChannelsAndKernelBound) {
   Conv1D conv(16, 32, 5, 1, rng);
   // Wrong channel count.
   expect_contract_violation(
-      [&] { conv.forward(Tensor::zeros({3, 40})); },
-      {"Conv1D::forward", "(16 x L>=5)", "Tensor[3x40]"});
+      [&] { conv.forward(Tensor::zeros({1, 3, 40}), nullptr); },
+      {"Conv1D::forward", "(N x 16 x L>=5)", "Tensor[1x3x40]"});
   // Right channels, input shorter than the kernel.
   expect_contract_violation(
-      [&] { conv.forward(Tensor::zeros({16, 4})); },
-      {"Conv1D::forward", "(16 x L>=5)", "Tensor[16x4]"});
+      [&] { conv.forward(Tensor::zeros({1, 16, 4}), nullptr); },
+      {"Conv1D::forward", "(N x 16 x L>=5)", "Tensor[1x16x4]"});
 }
 
 TEST(ShapeContract, LinearNamesExpectedWidth) {
   util::Rng rng(7);
   Linear lin(3, 2, rng);
-  expect_contract_violation([&] { lin.forward(Tensor::zeros({4})); },
-                            {"Linear::forward", "(3)", "Tensor[4]"});
-  expect_contract_violation([&] { lin.forward(Tensor::zeros({5, 4})); },
-                            {"Linear::forward", "(rows x 3)", "Tensor[5x4]"});
+  // A sample without its batch dimension, then the wrong width.
+  expect_contract_violation([&] { lin.forward(Tensor::zeros({3}), nullptr); },
+                            {"Linear::forward", "(N x 3)", "Tensor[3]"});
+  expect_contract_violation([&] { lin.forward(Tensor::zeros({5, 4}), nullptr); },
+                            {"Linear::forward", "(N x 3)", "Tensor[5x4]"});
 }
 
 TEST(ShapeContract, WeightedVerticesNamesK) {
   util::Rng rng(7);
   WeightedVertices wv(8, Activation::ReLU, rng);
-  expect_contract_violation([&] { wv.forward(Tensor::zeros({4, 2})); },
-                            {"WeightedVertices::forward", "(8 x C)", "Tensor[4x2]"});
+  expect_contract_violation([&] { wv.forward(Tensor::zeros({1, 4, 2}), nullptr); },
+                            {"WeightedVertices::forward", "(N x 8 x C)", "Tensor[1x4x2]"});
 }
 
 TEST(ShapeContract, ViolationIsStillInvalidArgument) {
   // Pre-contract callers catch std::invalid_argument; the contract error
   // must remain substitutable.
   SortPooling pool(4);
-  EXPECT_THROW(pool.forward(Tensor::zeros({6})), std::invalid_argument);
+  EXPECT_THROW(pool.forward(Tensor::zeros({6}), {0, 6}, nullptr), std::invalid_argument);
 }
 
 TEST(ShapeContract, TensorAtNamesIndexAndShape) {

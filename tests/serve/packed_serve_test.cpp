@@ -1,5 +1,5 @@
 // Packed micro-batch execution in the serving layer: a flushed batch runs
-// as ONE fused forward, its verdicts match one eval-mode forward per graph,
+// as ONE fused forward, its verdicts match one forward per graph,
 // and malformed graphs fall back to per-item scoring with per-request error
 // attribution while the server keeps serving.
 

@@ -1,17 +1,19 @@
-// magic_lint fixture: a forward body with no shape contract. The
-// forward-contract rule must flag this file.
+// magic_lint fixture: a module forward with no shape contract. The
+// forward-contract rule must flag this file (it matches the definition, so
+// the rejection is the missing contract, not a rule that matched nothing).
 
 namespace fixture {
 
 struct Tensor {
   int rows = 0;
 };
+struct Tape {};
 
 struct NakedLayer {
-  Tensor forward(const Tensor& input);
+  Tensor forward(Tensor input, Tape* tape) const;
 };
 
-Tensor NakedLayer::forward(const Tensor& input) {
+Tensor NakedLayer::forward(Tensor input, Tape* /*tape*/) const {
   Tensor out;
   out.rows = input.rows;
   return out;
